@@ -8,6 +8,14 @@ it is a split injection (projection onto the p-divisible degrees splits
 it) and induces an isomorphism onto the cohomology of the pushed-forward
 complex.  Every identity here is checked by honest matrix computation over
 a box of degrees; nothing is assumed from the statements being verified.
+
+The matrix work runs once per degree type and is replayed for every source
+degree of that type.  The type of a source degree m is the triple (facets
+through m, facets through pm, pm mod p), read from the box classification
+of the cone.  It is sound because the shift matrix only depends on V_m and
+V_pm, which the two face sets determine, and the complex at pm only on V_pm
+and the residues of pm.  Violations are still reported per source degree,
+and ``m in V_m`` is still asserted for each one.
 """
 
 from __future__ import annotations
@@ -119,6 +127,61 @@ class CheckResult:
         return "\n".join(lines)
 
 
+def _shift_outcome(cone, m, dim, p):
+    """Chain map, splitting and induced rank of the shift at m, level by level.
+
+    Entry a is ``(closed, split, induced)``: whether the target
+    differential kills the image of the shift (vacuous at the top level,
+    which has no differential), whether the shift matrix is the identity
+    on the ``C(dim, a)`` wedge basis, and the rank the shift induces in
+    cohomology at pm.  Everything is multiplied out from :func:`phi` and
+    the complex at pm.
+    """
+    field = GF(p)
+    n = cone.ambient_rank
+    target = degree_complex(cone, tuple(p * x for x in m), p)
+    out = []
+    for a in range(n + 1):
+        M = phi(cone, m, a, p).matrix
+        closed = a == n or not any(
+            x != field.zero for x in mat_mul(field, target.differentials[a], M).flat
+        )
+        k = comb(dim, a)
+        split = all(
+            M[i, j] == (field.one if i == j else field.zero)
+            for i in range(k)
+            for j in range(k)
+        )
+        boundaries = (
+            target.differentials[a - 1] if a > 0 else zero_matrix(target.dims[0], 0)
+        )
+        stacked = np.concatenate([M, boundaries], axis=1) if boundaries.shape[1] else M
+        induced = rank(field, stacked) - rank(field, boundaries)
+        out.append((closed, split, induced))
+    return tuple(out)
+
+
+def _typed_sources(cone, bound, p):
+    """Source degrees of the box, each with V_m and the outcome of its type.
+
+    :func:`_shift_outcome` runs once per degree type (see the module
+    docstring) and is replayed for the other degrees of the type.
+    ``degree_subspace`` runs on every source degree, so ``m in V_m`` is
+    asserted for each.
+    """
+    points = cone.lattice_points(bound)
+    shifted = [tuple(p * x for x in m) for m in points]
+    memo = {}
+    masks = zip(cone.facet_masks(bound), cone.classify(shifted))
+    for m, pm, (mask, pmask) in zip(points, shifted, masks):
+        sub = degree_subspace(cone, m, p)
+        key = (mask, pmask, tuple(x % p for x in pm))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _shift_outcome(cone, m, sub.dim, p)
+        yield m, sub, got
+
+
 def check_chain_map(cone, bound, p):
     """Compatibility with the differentials, degree by degree.
 
@@ -126,19 +189,14 @@ def check_chain_map(cone, bound, p):
     the target sits in degree pm, where the differential is multiplication
     by pm in V_pm, and p-divisibility is exactly what the vanishing of the
     composite witnesses.  Nothing here uses that fact; the matrices are
-    multiplied out.
+    multiplied out, once per degree type.
     """
-    field = GF(p)
     n = cone.ambient_rank
     violations = []
     checked = 0
-    for m in cone.lattice_points(bound):
-        pm = tuple(p * x for x in m)
-        target = degree_complex(cone, pm, p)
+    for m, _, outcome in _typed_sources(cone, bound, p):
         for a in range(n):
-            ph = phi(cone, m, a, p)
-            comp = mat_mul(field, target.differentials[a], ph.matrix)
-            if any(x != field.zero for x in comp.flat):
+            if not outcome[a][0]:
                 violations.append(f"degree {m}, a={a}: shift image is not closed")
         checked += 1
     return CheckResult("chain map", checked, tuple(violations))
@@ -150,21 +208,11 @@ def check_split(cone, bound, p):
     In degree pm the projection acts as the identity, so the composite is
     the shift matrix itself, compared entry by entry with the identity.
     """
-    field = GF(p)
-    n = cone.ambient_rank
     violations = []
     checked = 0
-    for m in cone.lattice_points(bound):
-        sub = degree_subspace(cone, m, p)
-        for a in range(n + 1):
-            ph = phi(cone, m, a, p)
-            k = comb(sub.dim, a)
-            ok = all(
-                ph.matrix[i, j] == (field.one if i == j else field.zero)
-                for i in range(k)
-                for j in range(k)
-            )
-            if not ok:
+    for m, _, outcome in _typed_sources(cone, bound, p):
+        for a, (_, split, _) in enumerate(outcome):
+            if not split:
                 violations.append(
                     f"degree {m}, a={a}: projection composed with the shift is not the identity"
                 )
@@ -336,7 +384,7 @@ def verify_isomorphism(cone, bound, p, threads=None):
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    field = GF(p)
+    GF(p)  # refuses a composite modulus before the scan
     n = cone.ambient_rank
     table = cohomology_table(cone, p * bound, p, threads)
     violations = []
@@ -359,46 +407,23 @@ def verify_isomorphism(cone, bound, p, threads=None):
         }
         for _ in range(n + 1)
     ]
-    for m in cone.lattice_points(bound):
-        pm = tuple(p * x for x in m)
-        target = degree_complex(cone, pm, p)
-        hs = table.entries[pm]
-        sub = degree_subspace(cone, m, p)
-        for a in range(n + 1):
+    for m, sub, outcome in _typed_sources(cone, bound, p):
+        hs = table.entries[tuple(p * x for x in m)]
+        for a, (closed, split, induced) in enumerate(outcome):
             entry = stats[a]
             entry["sources"] += 1
             src_dim = comb(sub.dim, a)
             entry["src_total"] += src_dim
             entry["coh_total"] += hs[a]
-            ph = phi(cone, m, a, p)
-            if a < n:
-                comp = mat_mul(field, target.differentials[a], ph.matrix)
-                if any(x != field.zero for x in comp.flat):
-                    entry["chain"] = False
-                    violations.append(f"degree {m}, a={a}: shift image is not closed")
-            ident = all(
-                ph.matrix[i, j] == (field.one if i == j else field.zero)
-                for i in range(src_dim)
-                for j in range(src_dim)
-            )
-            if not ident:
+            if not closed:
+                entry["chain"] = False
+                violations.append(f"degree {m}, a={a}: shift image is not closed")
+            if not split:
                 entry["split"] = False
                 violations.append(
                     f"degree {m}, a={a}: projection composed with the shift "
                     f"is not the identity"
                 )
-            boundaries = (
-                target.differentials[a - 1]
-                if a > 0
-                else zero_matrix(target.dims[0], 0)
-            )
-            brank = rank(field, boundaries)
-            stacked = (
-                np.concatenate([ph.matrix, boundaries], axis=1)
-                if boundaries.shape[1]
-                else ph.matrix
-            )
-            induced = rank(field, stacked) - brank
             if induced != src_dim or hs[a] != src_dim:
                 entry["iso"] = False
                 violations.append(

@@ -26,7 +26,7 @@ from .complexes import (
     oracle_full_complex,
     poincare_check,
 )
-from .forms import degree_subspace, integer_lifts
+from .forms import degree_subspace
 from .linalg import GF
 
 __all__ = ["main", "ConeSpecError", "load_cone_spec", "exponent_cone"]

@@ -6,6 +6,13 @@ so cohomology over a box of degrees is the direct sum of the per-degree
 answers; the fast path exploits this, while :func:`oracle_full_complex`
 deliberately does not and serves as an independent cross-check.
 
+Over GF(p) a table computes each degree type once.  The type of m is its
+facet bitmask from the box scan (:meth:`Cone.facet_masks`) together with
+m mod p.  This is sound by construction: V_m is the intersection of the
+face subspaces picked out by the mask, and the coordinates of m in V_m,
+which fix every differential, only see m mod p.  Over QQ the coordinates
+see all of m, so every degree is computed on its own.
+
 Tables and reports serialize to JSON (round-trips through ``from_json``)
 and to CSV with one row per degree.  Output is byte-stable: degrees are
 sorted, hashes are over the CSV bytes.  Setting the environment variable
@@ -15,7 +22,6 @@ many worker processes without changing any output.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -126,21 +132,19 @@ def _thread_count():
 
 
 def _chunk_cohomology(args):
-    cone, degrees, char = args
+    cone, degrees, masks, char = args
+    if not char:
+        return {m: cohomology(degree_complex(cone, m, char)) for m in degrees}
     memo = {}
     out = {}
-    for m in degrees:
-        ids = tuple(f.index for f in cone.facets_containing(m))
-        if char:
-            # V_m and the coordinates of m in it only depend on the face
-            # set and on m mod p, so the box collapses to few cases
-            key = (ids, tuple(x % char for x in m))
-            got = memo.get(key)
-            if got is None:
-                got = cohomology(degree_complex(cone, m, char))
-                memo[key] = got
-        else:
+    for m, mask in zip(degrees, masks):
+        # the degree type: V_m and the coordinates of m in it only depend
+        # on the face set and on m mod p, so the box collapses to few cases
+        key = (mask, tuple(x % char for x in m))
+        got = memo.get(key)
+        if got is None:
             got = cohomology(degree_complex(cone, m, char))
+            memo[key] = got
         out[m] = got
     return out
 
@@ -182,17 +186,23 @@ class CohomologyTable:
             entries,
         )
 
-    def to_csv(self):
+    def _csv_lines(self):
         degrees = self.degrees()
         width = len(degrees[0])
         levels = len(self.entries[degrees[0]])
-        lines = [",".join([f"m{i + 1}" for i in range(width)] + [f"h{a}" for a in range(levels)])]
+        yield ",".join([f"m{i + 1}" for i in range(width)] + [f"h{a}" for a in range(levels)]) + "\n"
         for m in degrees:
-            lines.append(",".join(str(x) for x in list(m) + list(self.entries[m])))
-        return "\n".join(lines) + "\n"
+            yield ",".join(str(x) for x in (*m, *self.entries[m])) + "\n"
+
+    def to_csv(self):
+        return "".join(self._csv_lines())
 
     def table_hash(self):
-        return hashlib.sha256(self.to_csv().encode()).hexdigest()
+        """sha256 of :meth:`to_csv`, fed line by line so the text is never built."""
+        digest = hashlib.sha256()
+        for line in self._csv_lines():
+            digest.update(line.encode())
+        return digest.hexdigest()
 
 
 def cohomology_table(cone, bound, char, threads=None):
@@ -203,17 +213,20 @@ def cohomology_table(cone, bound, char, threads=None):
     identical to the serial one.
     """
     degrees = cone.lattice_points(bound)
+    masks = cone.facet_masks(bound)
     if threads is None:
         threads = _thread_count()
     if threads > 1 and len(degrees) >= 64:
-        chunks = [(cone, degrees[i::threads], char) for i in range(threads)]
+        chunks = [(cone, degrees[i::threads], masks[i::threads], char) for i in range(threads)]
+        import concurrent.futures  # only the parallel path pays for this import
+
         entries = {}
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_chunk_cohomology, chunks):
                 entries.update(part)
         entries = {m: entries[m] for m in degrees}
     else:
-        entries = _chunk_cohomology((cone, degrees, char))
+        entries = _chunk_cohomology((cone, degrees, masks, char))
     return CohomologyTable(cone.rays, char, bound, entries)
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .linalg import (
     QQ,
     SaturatedLattice,
@@ -111,10 +113,7 @@ class Cone:
 
     def contains(self, point):
         """Membership test against the inequality description (the dual rays)."""
-        v = tuple(int(x) for x in point)
-        if len(v) != self.ambient_rank:
-            raise ValueError("point length does not match the ambient rank")
-        return all(_dot(u, v) >= 0 for u in self.dual.rays)
+        return self._point_mask(self._point(point)) is not None
 
     def has_vertex(self):
         """True when the cone contains no line, i.e. its lineality space is 0."""
@@ -151,29 +150,110 @@ class Cone:
 
     def facets_containing(self, point):
         """Facets through a lattice point of the cone; interior points give ()."""
-        v = tuple(int(x) for x in point)
-        if not self.contains(v):
+        v = self._point(point)
+        mask = self._point_mask(v)
+        if mask is None:
             raise NotInConeError(f"{v} is not a lattice point of the cone")
-        return tuple(f for f in self.facets if _dot(f.normal, v) == 0)
+        return tuple(f for f in self.facets if mask >> f.index & 1)
 
     def lattice_points(self, bound):
         """All cone points in the box ``[-bound, bound]^n``, lexicographic.
+
+        One vectorised pass over the box: it is cut into slabs along the
+        first coordinate, and each slab of ``(2*bound+1)^(n-1)`` points goes
+        through :meth:`_classify` (``points @ normals.T``), so the whole
+        grid is never held at once.  Slabs in increasing first coordinate,
+        each in lexicographic order, give the lexicographic order of the
+        box.  The same pass records the facet bitmask of every point found
+        (see :meth:`facet_masks`).  Arithmetic is exact: ``int64`` while
+        ``max_u sum|u_i| * bound`` stays below ``2**62``, Python integers
+        (``dtype=object``) otherwise.
 
         The origin is always included.  Results are cached per bound.
         """
         if bound < 0:
             raise ValueError("bound must be nonnegative")
-        cache = self.__dict__.setdefault("_points", {})
+        cache = self.__dict__.setdefault("_scans", {})
         got = cache.get(bound)
         if got is None:
-            normals = self.dual.rays
-            got = tuple(
-                v
-                for v in itertools.product(range(-bound, bound + 1), repeat=self.ambient_rank)
-                if all(_dot(u, v) >= 0 for u in normals)
-            )
+            got = self._scan(bound)
             cache[bound] = got
-        return got
+        return got[0]
+
+    def facet_masks(self, bound):
+        """Facet bitmasks of ``lattice_points(bound)``, in the same order.
+
+        Bit i of a mask is set when the point is orthogonal to the i-th
+        dual ray, so for a full dimensional cone the set bits are the
+        indices of :meth:`facets_containing`.
+        """
+        self.lattice_points(bound)
+        return self.__dict__["_scans"][bound][1]
+
+    def classify(self, points):
+        """Facet bitmask of each given lattice point, as in :meth:`facet_masks`.
+
+        Raises :class:`NotInConeError` when a point lies outside the cone.
+        """
+        rows = [self._point(v) for v in points]
+        if not rows:
+            return ()
+        top = max(abs(x) for v in rows for x in v)
+        inside, masks = self._classify(np.array(rows, dtype=object), top)
+        if not inside.all():
+            outside = rows[int(np.argmin(inside))]
+            raise NotInConeError(f"{outside} is not a lattice point of the cone")
+        return tuple(masks)
+
+    def _point(self, point):
+        v = tuple(int(x) for x in point)
+        if len(v) != self.ambient_rank:
+            raise ValueError("point length does not match the ambient rank")
+        return v
+
+    def _point_mask(self, v):
+        """Facet bitmask of one point, or None when it lies outside the cone."""
+        inside, masks = self._classify(np.array([v], dtype=object), max(map(abs, v)))
+        return masks[0] if inside[0] else None
+
+    def _scan(self, bound):
+        n = self.ambient_rank
+        coords = range(-bound, bound + 1)
+        rest = list(itertools.product(coords, repeat=n - 1))
+        slab = np.empty((len(rest), n), dtype=np.int64)
+        slab[:, 1:] = np.array(rest, dtype=np.int64).reshape(len(rest), n - 1)
+        points = []
+        masks = []
+        for first in coords:
+            slab[:, 0] = first
+            inside, got = self._classify(slab, bound)
+            points.extend((first,) + rest[j] for j in np.flatnonzero(inside).tolist())
+            masks.extend(got)
+        return tuple(points), tuple(masks)
+
+    def _classify(self, points, top):
+        """The classification kernel: membership and facet bitmasks of rows.
+
+        ``points`` is an integer array with entries bounded by ``top`` in
+        absolute value.  Returns a boolean array (row inside the cone) and
+        the bitmasks of the rows inside, as Python ints.
+        """
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            exact = np.array(self.dual.rays, dtype=object).reshape(-1, self.ambient_rank)
+            width = max((sum(map(abs, u)) for u in self.dual.rays), default=0)
+            k = exact.shape[0]
+            weights = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
+            kernel = (exact, exact.astype(np.int64) if width < 2**62 else None, width, weights)
+            self.__dict__["_kernel"] = kernel
+        exact, fast, width, weights = kernel
+        if max(width, 1) * max(top, 1) < 2**62:
+            vals = points.astype(np.int64, copy=False) @ fast.T
+        else:
+            vals = points.astype(object, copy=False) @ exact.T
+        inside = (vals >= 0).all(axis=1)
+        masks = (vals[inside] == 0).astype(weights.dtype) @ weights
+        return inside, masks.tolist()
 
     def __eq__(self, other):
         return (

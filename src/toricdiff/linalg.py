@@ -512,10 +512,7 @@ def _rank_modp(rows, p):
 
 def rank(field, M):
     """Rank of a matrix over ``field``; fraction-free over QQ."""
-    if isinstance(M, np.ndarray):
-        rows = [list(r) for r in M]
-    else:
-        rows = [list(r) for r in M]
+    rows = [list(r) for r in M]
     if not rows or not rows[0]:
         return 0
     if field.characteristic == 0:

@@ -1,13 +1,16 @@
 import pytest
 
+import toricdiff.cartier as cartier
 from toricdiff.cartier import (
     CartierReport,
+    PhiMap,
     check_chain_map,
     check_split,
     inverse_cartier_generator_check,
     phi,
     verify_isomorphism,
 )
+from toricdiff.complexes import DegreeComplex, degree_complex
 from toricdiff.cones import Cone, NotInConeError
 from toricdiff.forms import degree_subspace
 
@@ -129,3 +132,69 @@ class TestVerifyIsomorphism:
                 comb(sum(1 for x in m if x != 0), a) for m in sources
             )
             assert by_a[a] == expected
+
+
+class TestNegativeControls:
+    """Injected defects on one degree type must fail once per source degree.
+
+    On the orthant with p=3 and bound 3 the nine interior source degrees
+    (1..3)^2 share one type (no facets through m or pm, pm = 0 mod 3), so
+    the per-type memo computes the defect once and must replay it nine times.
+    """
+
+    P, BOUND = 3, 3
+    INTERIOR = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+
+    def test_non_identity_shift_fails_split(self, orthant, monkeypatch):
+        calls = []
+
+        def broken_phi(cone, m, a, p):
+            got = phi(cone, m, a, p)
+            if a == 1 and cone.facets_containing(m) == ():
+                calls.append(m)
+                M = got.matrix.copy()
+                M[0, 1] = 1  # invertible, not the identity
+                got = PhiMap(got.source_degree, got.target_degree, a, M)
+            return got
+
+        monkeypatch.setattr(cartier, "phi", broken_phi)
+        wording = "a=1: projection composed with the shift is not the identity"
+        split = check_split(orthant, self.BOUND, self.P)
+        assert not split.passed
+        assert split.violations == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
+        report = verify_isomorphism(orthant, self.BOUND, self.P)
+        assert not report.passed
+        assert [lv.split_ok for lv in report.levels] == [True, False, True]
+        assert report.violations == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
+        # computed once per check, replayed for each of the nine degrees
+        assert len(calls) == 2
+        # the chain-map condition cannot see the matrix: the differential at
+        # a degree divisible by p is zero, so it needs its own control below
+        assert check_chain_map(orthant, self.BOUND, self.P).passed
+
+    def test_perturbed_target_differential_fails_chain_map(self, orthant, monkeypatch):
+        def broken_complex(cone, m, char):
+            got = degree_complex(cone, m, char)
+            if cone.facets_containing(m) == ():
+                first = got.differentials[0].copy()
+                first[0, 0] = 1
+                got = DegreeComplex(got.degree, char, got.dims, (first,) + got.differentials[1:])
+            return got
+
+        monkeypatch.setattr(cartier, "degree_complex", broken_complex)
+        chain = check_chain_map(orthant, self.BOUND, self.P)
+        assert not chain.passed
+        assert chain.violations == tuple(
+            f"degree {m}, a=0: shift image is not closed" for m in self.INTERIOR
+        )
+        report = verify_isomorphism(orthant, self.BOUND, self.P)
+        assert not report.passed
+        assert [lv.chain_map_ok for lv in report.levels] == [False, True, True]
+        assert report.violations == tuple(
+            v
+            for m in self.INTERIOR
+            for v in (
+                f"degree {m}, a=0: shift image is not closed",
+                f"degree {m}, a=1: induced rank 1 of 2, cohomology dimension 2",
+            )
+        )

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from toricdiff.cones import Cone
@@ -91,6 +93,18 @@ class TestCohomologyTable:
         parallel = cohomology_table(orthant, 8, 2, threads=2)
         assert serial == parallel
         assert serial.to_csv() == parallel.to_csv()
+
+    def test_threads_keep_masks_with_their_degrees(self, corpus):
+        # the memo key reads each degree's facet mask, so a worker has to get
+        # the masks of its own degrees; on the orthant a misaligned mask can
+        # go unnoticed, on this non-simplicial cone it changes the table
+        cone = corpus["square-3d"]
+        serial = cohomology_table(cone, 4, 3, threads=1)
+        assert serial == cohomology_table(cone, 4, 3, threads=2)
+
+    def test_streamed_hash_is_the_csv_hash(self, quadric):
+        table = cohomology_table(quadric, 3, 2)
+        assert table.table_hash() == hashlib.sha256(table.to_csv().encode()).hexdigest()
 
 
 class TestPoincare:

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricdiff.cones import Cone, NotInConeError, NotPointedError
 from toricdiff.linalg import saturate
@@ -133,6 +137,55 @@ class TestLatticePoints:
         c = Cone([(1, 0), (-1, 0), (0, 1)])
         pts = c.lattice_points(1)
         assert pts == ((-1, 0), (-1, 1), (0, 0), (0, 1), (1, 0), (1, 1))
+
+
+HUGE = Cone([(1, 0), (1, 10**20)])  # a facet normal (10**20, -1) overflows int64
+
+
+@st.composite
+def scanned_cones(draw):
+    """Small cones of either kind: with or without lines, full dimensional or not."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    rays = draw(st.lists(vec, min_size=1, max_size=n + 2))
+    cone = Cone(rays)
+    return cone.dual if draw(st.booleans()) else cone
+
+
+class TestScanMatchesDefinition:
+    @settings(max_examples=80, deadline=None)
+    @given(scanned_cones(), st.integers(0, 3))
+    @example(Cone([(1, 0), (-1, 0), (0, 1)]), 2)  # a cone with a line
+    @example(Cone([(1, 1)], ambient_rank=2), 2)  # not full dimensional
+    @example(Cone([(1, 0), (0, 1)]), 0)
+    @example(HUGE, 3)
+    def test_points_and_masks(self, cone, bound):
+        normals = cone.dual.rays
+        box = itertools.product(range(-bound, bound + 1), repeat=cone.ambient_rank)
+        want = tuple(v for v in box if all(sum(a * b for a, b in zip(u, v)) >= 0 for u in normals))
+        assert cone.lattice_points(bound) == want
+        masks = cone.facet_masks(bound)
+        assert len(masks) == len(want)
+        assert cone.classify(want) == masks
+        for v, mask in zip(want, masks):
+            assert cone.contains(v)
+            on = [i for i, u in enumerate(normals) if sum(a * b for a, b in zip(u, v)) == 0]
+            assert mask == sum(1 << i for i in on)
+            if cone.is_full_dimensional():
+                assert [f.index for f in cone.facets_containing(v)] == on
+
+    def test_huge_normals_take_the_exact_path(self):
+        width = max(sum(map(abs, u)) for u in HUGE.dual.rays)
+        assert width >= 2**62  # too wide for int64 even at bound 1
+        assert HUGE.lattice_points(1) == ((0, 0), (1, 0), (1, 1))
+        assert HUGE.facet_masks(1) == (3, 1, 0)
+        assert HUGE.contains((10**30, 1)) and not HUGE.contains((0, 1))
+
+    def test_classify_refuses_outside_points(self):
+        d = Cone([(0, 1), (2, -1)]).dual
+        assert d.classify([(1, 0), (1, 1)]) == (1, 0)
+        with pytest.raises(NotInConeError):
+            d.classify([(1, 0), (0, 1)])
 
 
 class TestPickling:
