@@ -15,16 +15,13 @@ see all of m, so every degree is computed on its own.
 
 Tables and reports serialize to JSON (round-trips through ``from_json``)
 and to CSV with one row per degree.  Output is byte-stable: degrees are
-sorted, hashes are over the CSV bytes.  Setting the environment variable
-``TORIC_THREADS`` to an integer above 1 spreads table computation over that
-many worker processes without changing any output.
+sorted, hashes are over the CSV bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from math import comb
 
@@ -123,32 +120,6 @@ def cohomology(dc):
 # tables over a box of degrees
 
 
-def _thread_count():
-    raw = os.environ.get("TORIC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunk_cohomology(args):
-    cone, degrees, masks, char = args
-    if not char:
-        return {m: cohomology(degree_complex(cone, m, char)) for m in degrees}
-    memo = {}
-    out = {}
-    for m, mask in zip(degrees, masks):
-        # the degree type: V_m and the coordinates of m in it only depend
-        # on the face set and on m mod p, so the box collapses to few cases
-        key = (mask, tuple(x % char for x in m))
-        got = memo.get(key)
-        if got is None:
-            got = cohomology(degree_complex(cone, m, char))
-            memo[key] = got
-        out[m] = got
-    return out
-
-
 @dataclass
 class CohomologyTable:
     """Per-degree cohomology dimensions over the box ``[-bound, bound]^n``."""
@@ -205,28 +176,22 @@ class CohomologyTable:
         return digest.hexdigest()
 
 
-def cohomology_table(cone, bound, char, threads=None):
-    """Cohomology of every degree in the box, memoized and optionally parallel.
+def cohomology_table(cone, bound, char):
+    """Cohomology of every degree in the box, in box order.
 
-    The parallel path partitions the degrees round-robin over worker
-    processes and reassembles the table in box order, so the result is
-    identical to the serial one.
+    Over GF(p) each degree type is computed once (see the module docstring).
     """
-    degrees = cone.lattice_points(bound)
-    masks = cone.facet_masks(bound)
-    if threads is None:
-        threads = _thread_count()
-    if threads > 1 and len(degrees) >= 64:
-        chunks = [(cone, degrees[i::threads], masks[i::threads], char) for i in range(threads)]
-        import concurrent.futures  # only the parallel path pays for this import
-
-        entries = {}
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_chunk_cohomology, chunks):
-                entries.update(part)
-        entries = {m: entries[m] for m in degrees}
-    else:
-        entries = _chunk_cohomology((cone, degrees, masks, char))
+    memo = {}
+    entries = {}
+    for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
+        if not char:
+            entries[m] = cohomology(degree_complex(cone, m, char))
+            continue
+        key = (mask, tuple(x % char for x in m))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = cohomology(degree_complex(cone, m, char))
+        entries[m] = got
     return CohomologyTable(cone.rays, char, bound, entries)
 
 
@@ -286,7 +251,7 @@ class PoincareReport:
         return "\n".join(lines)
 
 
-def poincare_check(cone, bound, threads=None):
+def poincare_check(cone, bound):
     """Exactness over QQ, degree by degree: constants in degree zero, else nothing.
 
     Only stated for an exponent cone with a vertex (equivalently, the
@@ -297,7 +262,7 @@ def poincare_check(cone, bound, threads=None):
         raise NoVertexError(
             "exponent cone contains a line; the exactness statement requires a vertex"
         )
-    table = cohomology_table(cone, bound, 0, threads)
+    table = cohomology_table(cone, bound, 0)
     n = cone.ambient_rank
     origin = (0,) * n
     point = tuple([1] + [0] * n)

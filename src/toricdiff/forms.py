@@ -115,9 +115,9 @@ def graded_piece(cone, m, char):
 def integer_lifts(sub):
     """One integer vector over each basis row of a subspace.
 
-    Residues lift to their representatives in ``[0, p)``; rational rows are
-    scaled to primitive integer vectors.  Used when printing forms, where
-    exponents have to be lattice vectors.
+    Residues lift to their representatives in ``[0, p)``, so each lift
+    reduces back to its row mod p.  Rational rows are scaled to primitive
+    integer vectors on the same line.
     """
     out = []
     for row in sub.basis:

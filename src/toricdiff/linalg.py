@@ -526,12 +526,8 @@ def kernel(field, M, ncols=None):
     >>> kernel(QQ, [[1, 1], [2, 2]]).basis
     ((Fraction(1, 1), Fraction(-1, 1)),)
     """
-    if isinstance(M, np.ndarray):
-        rows = [list(r) for r in M]
-        width = M.shape[1]
-    else:
-        rows = [list(r) for r in M]
-        width = len(rows[0]) if rows else ncols
+    rows = [list(r) for r in M]
+    width = M.shape[1] if isinstance(M, np.ndarray) else (len(rows[0]) if rows else ncols)
     if width is None:
         raise ValueError("ncols is required for a matrix with no rows")
     if not rows:

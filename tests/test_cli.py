@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -180,15 +179,10 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def run_subprocess(self, *args, env_extra=None):
-        env = dict(os.environ)
-        env.pop("TORIC_THREADS", None)
-        if env_extra:
-            env.update(env_extra)
+    def run_subprocess(self, *args):
         proc = subprocess.run(
             [sys.executable, "-m", "toricdiff", *args],
             capture_output=True,
-            env=env,
             cwd=str(CONE_DIR.parent),
         )
         assert proc.returncode == 0, proc.stderr
@@ -197,9 +191,3 @@ class TestDeterminism:
     def test_byte_identical_runs(self):
         args = ("cohomology", CONE, "--p", "3", "--bound", "3", "--format", "csv")
         assert self.run_subprocess(*args) == self.run_subprocess(*args)
-
-    def test_threads_do_not_change_output(self):
-        args = ("cohomology", ORTHANT, "--p", "2", "--bound", "8", "--format", "csv")
-        serial = self.run_subprocess(*args)
-        parallel = self.run_subprocess(*args, env_extra={"TORIC_THREADS": "2"})
-        assert serial == parallel
