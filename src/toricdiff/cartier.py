@@ -10,18 +10,19 @@ complex.  Every identity here is checked by honest matrix computation over
 a box of degrees; nothing is assumed from the statements being verified.
 
 The matrix work runs once per degree type and is replayed for every source
-degree of that type.  The type of a source degree m is the triple (facets
-through m, facets through pm, pm mod p), read from the box classification
-of the cone.  It is sound because the shift matrix only depends on V_m and
-V_pm, which the two face sets determine, and the complex at pm only on V_pm
-and the residues of pm.  Violations are still reported per source degree,
-and ``m in V_m`` is still asserted for each one.
+degree of that type.  The type of a source degree m is its facet mask, the
+set of facets through m, read from the box classification of the cone.  For
+p > 0, ``<u, pm> = p<u, m>``, so pm lies on exactly the facets through m,
+and every coordinate of pm is 0 mod p.  The mask therefore fixes V_m, V_pm
+and the complex at pm, which are all the shift matrix and the target
+complex depend on.  Violations are still reported per source degree, and
+``m in V_m`` is still asserted for each one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 import numpy as np
@@ -164,21 +165,17 @@ def _shift_outcome(cone, m, dim, p):
 def _typed_sources(cone, bound, p):
     """Source degrees of the box, each with V_m and the outcome of its type.
 
-    :func:`_shift_outcome` runs once per degree type (see the module
-    docstring) and is replayed for the other degrees of the type.
-    ``degree_subspace`` runs on every source degree, so ``m in V_m`` is
-    asserted for each.
+    The type of m is its facet mask from the box scan (see the module
+    docstring).  :func:`_shift_outcome` runs once per type and is replayed
+    for the other degrees of the type.  ``degree_subspace`` runs on every
+    source degree, so ``m in V_m`` is asserted for each.
     """
-    points = cone.lattice_points(bound)
-    shifted = [tuple(p * x for x in m) for m in points]
     memo = {}
-    masks = zip(cone.facet_masks(bound), cone.classify(shifted))
-    for m, pm, (mask, pmask) in zip(points, shifted, masks):
+    for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
         sub = degree_subspace(cone, m, p)
-        key = (mask, pmask, tuple(x % p for x in pm))
-        got = memo.get(key)
+        got = memo.get(mask)
         if got is None:
-            got = memo[key] = _shift_outcome(cone, m, sub.dim, p)
+            got = memo[mask] = _shift_outcome(cone, m, sub.dim, p)
         yield m, sub, got
 
 
@@ -188,6 +185,16 @@ def _not_closed(m, a):
 
 def _not_split(m, a):
     return f"degree {m}, a={a}: projection composed with the shift is not the identity"
+
+
+def _single_check(cone, bound, p, name, index, message):
+    """Report ``message(m, a)`` wherever entry ``index`` of the outcome is false."""
+    violations = []
+    checked = 0
+    for m, _, outcome in _typed_sources(cone, bound, p):
+        violations.extend(message(m, a) for a, got in enumerate(outcome) if not got[index])
+        checked += 1
+    return CheckResult(name, checked, tuple(violations))
 
 
 def check_chain_map(cone, bound, p):
@@ -200,15 +207,7 @@ def check_chain_map(cone, bound, p):
     it can catch is a wrong complex at pm, as in the perturbed-differential
     negative control.  The matrices are multiplied out, once per degree type.
     """
-    n = cone.ambient_rank
-    violations = []
-    checked = 0
-    for m, _, outcome in _typed_sources(cone, bound, p):
-        for a in range(n):
-            if not outcome[a][0]:
-                violations.append(_not_closed(m, a))
-        checked += 1
-    return CheckResult("chain map", checked, tuple(violations))
+    return _single_check(cone, bound, p, "chain map", 0, _not_closed)
 
 
 def check_split(cone, bound, p):
@@ -217,14 +216,7 @@ def check_split(cone, bound, p):
     In degree pm the projection acts as the identity, so the composite is
     the shift matrix itself, compared entry by entry with the identity.
     """
-    violations = []
-    checked = 0
-    for m, _, outcome in _typed_sources(cone, bound, p):
-        for a, (_, split, _) in enumerate(outcome):
-            if not split:
-                violations.append(_not_split(m, a))
-        checked += 1
-    return CheckResult("splitting", checked, tuple(violations))
+    return _single_check(cone, bound, p, "splitting", 1, _not_split)
 
 
 def inverse_cartier_generator_check(cone, bound, p):
@@ -302,57 +294,16 @@ class CartierReport:
         )
 
     def to_json(self):
-        payload = {
-            "rays": [list(r) for r in self.rays],
-            "p": self.p,
-            "bound": self.bound,
-            "target_bound": self.target_bound,
-            "levels": [
-                {
-                    "a": lv.a,
-                    "sources_checked": lv.sources_checked,
-                    "chain_map_ok": lv.chain_map_ok,
-                    "split_ok": lv.split_ok,
-                    "isomorphism_ok": lv.isomorphism_ok,
-                    "source_dim_total": lv.source_dim_total,
-                    "cohomology_dim_total": lv.cohomology_dim_total,
-                }
-                for lv in self.levels
-            ],
-            "concentration_ok": self.concentration_ok,
-            "target_degrees": self.target_degrees,
-            "violations": list(self.violations),
-            "table_hash": self.table_hash,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self) | {"passed": self.passed}, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        levels = tuple(
-            LevelSummary(
-                lv["a"],
-                lv["sources_checked"],
-                lv["chain_map_ok"],
-                lv["split_ok"],
-                lv["isomorphism_ok"],
-                lv["source_dim_total"],
-                lv["cohomology_dim_total"],
-            )
-            for lv in data["levels"]
-        )
-        return cls(
-            tuple(tuple(r) for r in data["rays"]),
-            data["p"],
-            data["bound"],
-            data["target_bound"],
-            levels,
-            data["concentration_ok"],
-            data["target_degrees"],
-            tuple(data["violations"]),
-            data["table_hash"],
-        )
+        del data["passed"]
+        data["rays"] = tuple(map(tuple, data["rays"]))
+        data["levels"] = tuple(LevelSummary(**lv) for lv in data["levels"])
+        data["violations"] = tuple(data["violations"])
+        return cls(**data)
 
     def to_text(self):
         lines = [

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .linalg import (
     left_kernel,
     rank,
     saturate,
+    subspace,
 )
 
 __all__ = [
@@ -103,13 +103,7 @@ class Cone:
     @property
     def dual(self):
         """The dual cone ``{u : <u, v> >= 0 for all v here}``."""
-        d = self.__dict__.get("dual")
-        if d is None:
-            lin, pointed = _double_description(self.rays, self.ambient_rank)
-            d = Cone(_parts=(lin, pointed, self.ambient_rank))
-            self.__dict__["dual"] = d
-            d.__dict__["dual"] = self
-        return d
+        return self.__dict__["dual"]
 
     def contains(self, point):
         """Membership test against the inequality description (the dual rays)."""
@@ -189,21 +183,6 @@ class Cone:
         """
         self.lattice_points(bound)
         return self.__dict__["_scans"][bound][1]
-
-    def classify(self, points):
-        """Facet bitmask of each given lattice point, as in :meth:`facet_masks`.
-
-        Raises :class:`NotInConeError` when a point lies outside the cone.
-        """
-        rows = [self._point(v) for v in points]
-        if not rows:
-            return ()
-        top = max(abs(x) for v in rows for x in v)
-        inside, masks = self._classify(np.array(rows, dtype=object), top)
-        if not inside.all():
-            outside = rows[int(np.argmin(inside))]
-            raise NotInConeError(f"{outside} is not a lattice point of the cone")
-        return tuple(masks)
 
     def _point(self, point):
         v = tuple(int(x) for x in point)
@@ -330,8 +309,16 @@ def _pointed_double_description(ineq_rows, r):
     rays seed the incremental insertion.  Adjacency of two rays is decided
     by the rank of the inequalities active on both.
     """
-    base = _independent_rows(ineq_rows, r)
-    rays = _simplicial_rays([ineq_rows[i] for i in base])
+    base = subspace(QQ, list(zip(*ineq_rows))).pivots
+    if len(base) != r:
+        raise AssertionError("inequality matrix does not have full column rank")
+    # the base rows B cut out a simplicial cone spanned by the columns of B^-1,
+    # and [B | I] reduces to [I | B^-1]
+    augmented = [list(ineq_rows[i]) + [int(j == k) for k in range(r)] for j, i in enumerate(base)]
+    rays = []
+    for column in zip(*(row[r:] for row in subspace(QQ, augmented).basis)):
+        mult = lcm(*(f.denominator for f in column))
+        rays.append(_primitive(tuple(int(f * mult) for f in column)))
     processed = [ineq_rows[i] for i in base]
     for i, row in enumerate(ineq_rows):
         if i in base:
@@ -350,39 +337,6 @@ def _pointed_double_description(ineq_rows, r):
             rays = plus + zero + sorted(fresh)
         processed.append(row)
     return sorted(set(rays))
-
-
-def _independent_rows(rows, r):
-    chosen = []
-    for i, row in enumerate(rows):
-        if rank(QQ, [rows[j] for j in chosen] + [row]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == r:
-                return chosen
-    raise AssertionError("inequality matrix does not have full column rank")
-
-
-def _simplicial_rays(square_rows):
-    """Rays of ``{y : B y >= 0}`` for an invertible square B: scaled inverse columns."""
-    r = len(square_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)] for i, row in enumerate(square_rows)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    rays = []
-    for j in range(r):
-        column = [aug[i][r + j] for i in range(r)]
-        mult = 1
-        for f in column:
-            mult = mult * f.denominator // gcd(mult, f.denominator)
-        rays.append(_primitive(tuple(int(f * mult) for f in column)))
-    return rays
 
 
 def _adjacent(u, w, processed, r):

@@ -182,9 +182,6 @@ class SaturatedLattice:
     def rank(self):
         return len(self.basis)
 
-    def matrix(self):
-        return imat(self.basis, self.ambient_rank)
-
     def __repr__(self):
         return f"SaturatedLattice(ambient_rank={self.ambient_rank}, basis={list(map(list, self.basis))})"
 
@@ -382,13 +379,6 @@ class Subspace:
         for row in self.basis:
             out.append(next(j for j, x in enumerate(row) if x != self.field.zero))
         return tuple(out)
-
-    def matrix(self):
-        M = np.empty((self.dim, self.ambient_dim), dtype=object)
-        for i, row in enumerate(self.basis):
-            for j, x in enumerate(row):
-                M[i, j] = x
-        return M
 
     def coordinates_of(self, vec):
         """Coefficients of ``vec`` in the reduced basis, or None if outside."""

@@ -104,6 +104,17 @@ class TestVerifyIsomorphism:
             if any(x % 2 for x in m):
                 assert h == (0, 0, 0)
 
+    def test_typed_sources_match_direct_computation(self, corpus):
+        # the checks compute the shift once per facet mask; on this
+        # non-simplicial cone a wrong key replays an outcome with the wrong
+        # V_m dimensions, so compare every source degree with its own outcome
+        cone = corpus["square-3d"]
+        seen = 0
+        for m, sub, outcome in cartier._typed_sources(cone, 2, 3):
+            assert outcome == cartier._shift_outcome(cone, m, sub.dim, 3), m
+            seen += 1
+        assert seen == len(cone.lattice_points(2))
+
     def test_json_round_trip(self, orthant):
         report = verify_isomorphism(orthant, 2, 3)
         again = CartierReport.from_json(report.to_json())
@@ -166,6 +177,7 @@ class TestNegativeControls:
         assert not report.passed
         assert [lv.split_ok for lv in report.levels] == [True, False, True]
         assert report.violations == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
+        assert CartierReport.from_json(report.to_json()) == report
         # computed once per check, replayed for each of the nine degrees
         assert len(calls) == 2
         # the chain-map condition cannot see the matrix: the differential at
