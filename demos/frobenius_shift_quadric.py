@@ -27,10 +27,10 @@ table = cohomology_table(quadric, bound=2, char=p)
 print(table.to_csv())
 print("table hash:", table.table_hash())
 
-# The shift map at one degree and level.  Source forms live in degree
+# The shift map at one degree, here on level 1.  Source forms live in degree
 # (1, 1), targets in degree (2, 2); on the coordinates of V_m the matrix
 # is the identity, which is what makes the bookkeeping transparent.
-shift = phi(quadric, (1, 1), 1, p)
+shift = phi(quadric, (1, 1), p)[1]
 print("phi source degree:", shift.source_degree)
 print("phi target degree:", shift.target_degree)
 print("phi matrix at level 1:", [[int(x) for x in row] for row in shift.matrix.tolist()])

@@ -14,9 +14,11 @@ degree of that type.  The type of a source degree m is its facet mask, the
 set of facets through m, read from the box classification of the cone.  For
 p > 0, ``<u, pm> = p<u, m>``, so pm lies on exactly the facets through m,
 and every coordinate of pm is 0 mod p.  The mask therefore fixes V_m, V_pm
-and the complex at pm, which are all the shift matrix and the target
-complex depend on.  Violations are still reported per source degree, and
-``m in V_m`` is still asserted for each one.
+and the complex at pm, which are all the shift matrices and the target
+complex depend on.  The shift respects wedge products, so :func:`phi` takes
+V_m, V_pm and the change of basis between them once per type and builds
+every level as a wedge power of that one map.  Violations are still reported
+per source degree, and ``m in V_m`` is still asserted for each one.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from math import comb
 import numpy as np
 
 from .complexes import cohomology_table, degree_complex
-from .forms import FormExpression, FormTerm, degree_subspace, to_form, wedge_subsets
-from .linalg import GF, mat_mul, rank, zero_matrix
+from .forms import FormExpression, FormTerm, degree_subspace, to_form, wedge_matrix, wedge_subsets
+from .linalg import GF, identity_matrix, mat_mul, rank, zero_matrix
 
 __all__ = [
     "PhiMap",
@@ -54,39 +56,33 @@ class PhiMap:
     matrix: object
 
 
-def _det(field, rows):
-    k = len(rows)
-    if k == 0:
-        return field.one
-    if k == 1:
-        return rows[0][0]
-    out = field.zero
-    for j in range(k):
-        if rows[0][j] == field.zero:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = field.mul(rows[0][j], _det(field, minor))
-        out = field.add(out, term if j % 2 == 0 else field.neg(term))
+def _wedge_powers(field, rows, top):
+    """Levels 0..top of the wedge powers of the map sending e_i to ``rows[i]``.
+
+    Column I of level a is ``v_{i1} ∧ ... ∧ v_{ia}`` in the lexicographic
+    subset bases: the rows' wedge matrices applied to 1, last row first, so
+    column I is the wedge matrix of ``v_{i1}`` applied to column ``I[1:]``.
+    """
+    columns = {(): np.full((1, 1), field.one, dtype=object)}
+    out = []
+    for a in range(top + 1):
+        if a:
+            wedges = [wedge_matrix(field, v, a - 1) for v in rows]
+            columns = {
+                I: mat_mul(field, wedges[I[0]], columns[I[1:]])
+                for I in wedge_subsets(len(rows), a)
+            }
+        out.append(np.concatenate(tuple(columns.values()), axis=1) if columns else zero_matrix(0, 0))
     return out
 
 
-def _wedge_power(field, rows, a):
-    d = len(rows)
-    subsets = wedge_subsets(d, a)
-    M = zero_matrix(len(subsets), len(subsets))
-    for ci, I in enumerate(subsets):
-        for ri, J in enumerate(subsets):
-            M[ri, ci] = _det(field, [[rows[i][j] for j in J] for i in I])
-    return M
+def phi(cone, m, p):
+    """The degree shift m -> pm on wedge levels 0..n, as honest matrices.
 
-
-def phi(cone, m, a, p):
-    """The degree shift m -> pm on wedge level a, as an honest matrix.
-
-    Built as the a-th compound of the change of basis from V_m to V_pm.
-    The two subspaces coincide (face sets are scale invariant), so the
-    matrix works out to the identity; what is asserted here is only
-    invertibility, which makes the map injective on every graded piece.
+    Level a is the a-th wedge power of one change of basis from V_m to V_pm.
+    The two subspaces coincide (face sets are scale invariant), so every
+    level is the identity; only invertibility is asserted, which makes the
+    map injective on every graded piece.
     """
     field = GF(p)
     m = tuple(int(x) for x in m)
@@ -102,11 +98,13 @@ def phi(cone, m, a, p):
         coords = sub_pm.coordinates_of(basis_row)
         if coords is None:
             raise ArithmeticError("internal error: basis row escaped the target subspace")
-        rows.append(list(coords))
-    M = _wedge_power(field, rows, a)
-    if rank(field, M) != comb(sub_m.dim, a):
-        raise ArithmeticError(f"internal error: degree shift not invertible at {m}, a={a}")
-    return PhiMap(m, pm, a, M)
+        rows.append(coords)
+    out = []
+    for a, M in enumerate(_wedge_powers(field, rows, cone.ambient_rank)):
+        if rank(field, M) != M.shape[0]:
+            raise ArithmeticError(f"internal error: degree shift not invertible at {m}, a={a}")
+        out.append(PhiMap(m, pm, a, M))
+    return tuple(out)
 
 
 @dataclass
@@ -128,31 +126,25 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def _shift_outcome(cone, m, dim, p):
+def _shift_outcome(cone, m, p):
     """Chain map, splitting and induced rank of the shift at m, level by level.
 
     Entry a is ``(closed, split, induced)``: whether the target
     differential kills the image of the shift (vacuous at the top level,
-    which has no differential), whether the shift matrix is the identity
-    on the ``C(dim, a)`` wedge basis, and the rank the shift induces in
-    cohomology at pm.  Everything is multiplied out from :func:`phi` and
-    the complex at pm.
+    which has no differential), whether the shift matrix is the identity,
+    and the rank the shift induces in cohomology at pm.  Everything is
+    multiplied out from one :func:`phi` call and the complex at pm.
     """
     field = GF(p)
     n = cone.ambient_rank
     target = degree_complex(cone, tuple(p * x for x in m), p)
     out = []
-    for a in range(n + 1):
-        M = phi(cone, m, a, p).matrix
+    for shift in phi(cone, m, p):
+        a, M = shift.a, shift.matrix
         closed = a == n or not any(
             x != field.zero for x in mat_mul(field, target.differentials[a], M).flat
         )
-        k = comb(dim, a)
-        split = all(
-            M[i, j] == (field.one if i == j else field.zero)
-            for i in range(k)
-            for j in range(k)
-        )
+        split = np.array_equal(M, identity_matrix(M.shape[0]))
         boundaries = (
             target.differentials[a - 1] if a > 0 else zero_matrix(target.dims[0], 0)
         )
@@ -175,7 +167,7 @@ def _typed_sources(cone, bound, p):
         sub = degree_subspace(cone, m, p)
         got = memo.get(mask)
         if got is None:
-            got = memo[mask] = _shift_outcome(cone, m, sub.dim, p)
+            got = memo[mask] = _shift_outcome(cone, m, p)
         yield m, sub, got
 
 
@@ -354,35 +346,27 @@ def verify_isomorphism(cone, bound, p):
             violations.append(
                 f"degree {md}: cohomology {h} away from the multiples of {p}"
             )
-    sources = 0
-    chain_ok = [True] * (n + 1)
-    split_ok = [True] * (n + 1)
-    iso_ok = [True] * (n + 1)
-    src_total = [0] * (n + 1)
-    coh_total = [0] * (n + 1)
+    levels = tuple(LevelSummary(a, 0, True, True, True, 0, 0) for a in range(n + 1))
     for m, sub, outcome in _typed_sources(cone, bound, p):
-        sources += 1
         hs = table.entries[tuple(p * x for x in m)]
-        for a, (closed, split, induced) in enumerate(outcome):
+        for lv, (closed, split, induced) in zip(levels, outcome):
+            a = lv.a
             src_dim = comb(sub.dim, a)
-            src_total[a] += src_dim
-            coh_total[a] += hs[a]
+            lv.sources_checked += 1
+            lv.source_dim_total += src_dim
+            lv.cohomology_dim_total += hs[a]
             if not closed:
-                chain_ok[a] = False
+                lv.chain_map_ok = False
                 violations.append(_not_closed(m, a))
             if not split:
-                split_ok[a] = False
+                lv.split_ok = False
                 violations.append(_not_split(m, a))
             if induced != src_dim or hs[a] != src_dim:
-                iso_ok[a] = False
+                lv.isomorphism_ok = False
                 violations.append(
                     f"degree {m}, a={a}: induced rank {induced} of {src_dim}, "
                     f"cohomology dimension {hs[a]}"
                 )
-    levels = tuple(
-        LevelSummary(a, sources, chain_ok[a], split_ok[a], iso_ok[a], src_total[a], coh_total[a])
-        for a in range(n + 1)
-    )
     return CartierReport(
         cone.rays,
         p,

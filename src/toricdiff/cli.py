@@ -43,6 +43,8 @@ def load_cone_spec(path):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConeSpecError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ConeSpecError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise ConeSpecError(f"{path}: expected a JSON object")
     for key in ("lattice_rank", "rays"):
@@ -187,16 +189,14 @@ def _cmd_cartier(args):
     cone = _cone_from_args(args)
     report = verify_isomorphism(cone, args.bound, args.p)
     gen = inverse_cartier_generator_check(cone, args.bound, args.p)
+    view = report
     if args.a != "all":
         level = int(args.a)
         if level < 0 or level > cone.ambient_rank:
             raise ConeSpecError(f"wedge degree {level} out of range")
-        shown = tuple(lv for lv in report.levels if lv.a == level)
-    else:
-        shown = report.levels
+        view = dataclasses.replace(report, levels=report.levels[level : level + 1])
     if args.format == "json":
-        payload = json.loads(report.to_json())
-        payload["levels"] = [lv for lv in payload["levels"] if args.a == "all" or lv["a"] == int(args.a)]
+        payload = json.loads(view.to_json())
         payload["generator_identity"] = {
             "checked": gen.checked,
             "passed": gen.passed,
@@ -204,7 +204,6 @@ def _cmd_cartier(args):
         }
         _emit_json(payload)
     else:
-        view = dataclasses.replace(report, levels=shown)
         print(view.to_text())
         print(gen.to_text())
     return 0 if report.passed and gen.passed else 1

@@ -25,13 +25,12 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .forms import degree_subspace, wedge_subsets
+from .forms import degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import (
     field_of_characteristic,
     mat_mul,
     rank,
     sparse_rank,
-    zero_matrix,
 )
 
 __all__ = [
@@ -77,27 +76,13 @@ def degree_complex(cone, m, char):
     sub = degree_subspace(cone, m, char)
     m = tuple(int(x) for x in m)
     w = sub.coordinates_of(m)
-    d = sub.dim
     n = cone.ambient_rank
-    diffs = []
-    for a in range(n):
-        source = wedge_subsets(d, a)
-        target = wedge_subsets(d, a + 1)
-        index = {J: j for j, J in enumerate(target)}
-        D = zero_matrix(len(target), len(source))
-        for ci, I in enumerate(source):
-            for pos, c in enumerate(w):
-                if c == field.zero or pos in I:
-                    continue
-                J = tuple(sorted(I + (pos,)))
-                sign = -1 if sum(1 for x in I if x < pos) % 2 else 1
-                D[index[J], ci] = field.mul(field.of(sign), c)
-        diffs.append(D)
+    diffs = [wedge_matrix(field, w, a) for a in range(n)]
     for a in range(n - 1):
         prod = mat_mul(field, diffs[a + 1], diffs[a])
         if any(x != field.zero for x in prod.flat):
             raise AssertionError("differential does not square to zero")
-    return DegreeComplex(m, char, tuple(comb(d, a) for a in range(n + 1)), tuple(diffs))
+    return DegreeComplex(m, char, tuple(comb(sub.dim, a) for a in range(n + 1)), tuple(diffs))
 
 
 def cohomology(dc):

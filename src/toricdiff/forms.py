@@ -28,6 +28,7 @@ from .linalg import (
     full_space,
     intersect,
     lattice_subspace,
+    zero_matrix,
 )
 
 __all__ = [
@@ -51,6 +52,28 @@ def wedge_subsets(dim, a):
     return tuple(itertools.combinations(range(dim), a))
 
 
+def wedge_matrix(field, w, a):
+    """Matrix of ``w ∧ -`` from wedge level a to level a+1 of ``k^len(w)``.
+
+    Rows and columns are indexed by the lexicographic subsets of
+    :func:`wedge_subsets`: ``e_pos ∧ e_I`` is ``e_J`` for J the sorted union,
+    with the sign of moving ``pos`` past the indices of I below it.
+    """
+    d = len(w)
+    source = wedge_subsets(d, a)
+    target = wedge_subsets(d, a + 1)
+    index = {J: j for j, J in enumerate(target)}
+    D = zero_matrix(len(target), len(source))
+    for ci, I in enumerate(source):
+        for pos, c in enumerate(w):
+            if c == field.zero or pos in I:
+                continue
+            J = tuple(sorted(I + (pos,)))
+            sign = -1 if sum(1 for x in I if x < pos) % 2 else 1
+            D[index[J], ci] = field.mul(field.of(sign), c)
+    return D
+
+
 @lru_cache(maxsize=None)
 def facet_subspace(facet, char):
     """Subspace of k^n spanned by one codimension-one face.
@@ -70,21 +93,21 @@ def degree_subspace(cone, m, char):
     V_m, and that is asserted on every call.
     """
     m = tuple(int(x) for x in m)
-    facets = cone.facets_containing(m)
-    sub = _facet_intersection(cone, tuple(f.index for f in facets), char)
+    sub = _facet_intersection(cone.facets_containing(m), cone.ambient_rank, char)
     if not sub.contains(m):
         raise AssertionError(f"degree {m} escaped its own subspace")
     return sub
 
 
 @lru_cache(maxsize=None)
-def _facet_intersection(cone, facet_ids, char):
+def _facet_intersection(facets, n, char):
+    # keyed on the facets themselves, not the cone, so the cache keeps no cone alive
     field = field_of_characteristic(char)
-    if not facet_ids:
-        return full_space(field, cone.ambient_rank)
-    out = facet_subspace(cone.facets[facet_ids[0]], char)
-    for i in facet_ids[1:]:
-        out = intersect(out, facet_subspace(cone.facets[i], char))
+    if not facets:
+        return full_space(field, n)
+    out = facet_subspace(facets[0], char)
+    for f in facets[1:]:
+        out = intersect(out, facet_subspace(f, char))
     return out
 
 

@@ -42,6 +42,7 @@ class TestSpecLoading:
             "zeroray.json": '{"lattice_rank": 2, "rays": [[0, 0]]}',
             "boolray.json": '{"lattice_rank": 1, "rays": [[true]]}',
             "badspace.json": '{"lattice_rank": 1, "rays": [[1]], "space": "X"}',
+            "deep.json": "[" * 100000 + "]" * 100000,
         }
         for name, text in cases.items():
             path = tmp_path / name
@@ -139,6 +140,34 @@ class TestCommands:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["generator_identity"]["passed"] is True
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_cartier_single_level_json_cuts_the_full_json(self, capsys, monkeypatch, broken):
+        if broken:
+            # a wrong level-1 shift: the a=0 view must still say the run failed
+            import toricdiff.cartier as cartier
+
+            real_phi = cartier.phi
+
+            def broken_phi(cone, m, p):
+                got = real_phi(cone, m, p)
+                if not got[1].matrix.size:
+                    return got
+                M = got[1].matrix.copy()
+                M[:, 0] = 0
+                return (got[0], cartier.PhiMap(m, got[1].target_degree, 1, M)) + got[2:]
+
+            monkeypatch.setattr(cartier, "phi", broken_phi)
+        args = ("cartier", ORTHANT, "--p", "2", "--bound", "1", "--format", "json")
+        code, full, _ = run_cli(*args, capsys=capsys)
+        assert code == (1 if broken else 0)
+        for a in (0, 1):
+            code_a, out, _ = run_cli(*args, "--a", a, capsys=capsys)
+            expected = json.loads(full)
+            expected["levels"] = [lv for lv in expected["levels"] if lv["a"] == a]
+            assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+            assert code_a == code
+        assert json.loads(full)["passed"] is not broken
 
     def test_oracle_agreement(self, capsys):
         code, out, _ = run_cli("oracle", CONE, "--p", "2", "--bound", "2", capsys=capsys)
