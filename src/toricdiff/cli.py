@@ -187,13 +187,15 @@ def _cmd_poincare(args):
 
 def _cmd_cartier(args):
     cone = _cone_from_args(args)
-    report = verify_isomorphism(cone, args.bound, args.p)
-    gen = inverse_cartier_generator_check(cone, args.bound, args.p)
-    view = report
+    level = None
     if args.a != "all":
         level = int(args.a)
         if level < 0 or level > cone.ambient_rank:
             raise ConeSpecError(f"wedge degree {level} out of range")
+    report = verify_isomorphism(cone, args.bound, args.p)
+    gen = inverse_cartier_generator_check(cone, args.bound, args.p)
+    view = report
+    if level is not None:
         view = dataclasses.replace(report, levels=report.levels[level : level + 1])
     if args.format == "json":
         payload = json.loads(view.to_json())

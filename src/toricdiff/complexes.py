@@ -6,12 +6,21 @@ so cohomology over a box of degrees is the direct sum of the per-degree
 answers; the fast path exploits this, while :func:`oracle_full_complex`
 deliberately does not and serves as an independent cross-check.
 
+Over QQ the differentials are integer matrices.  For c != 0 the complex of
+c*w is c times the complex of w: every differential is scaled by c, so the
+ranks are unchanged and d∘d = 0 holds for one exactly when it holds for the
+other.  The coordinates w of m in V_m are therefore scaled by a positive
+factor to the primitive integer vector on their line, and the ranks and the
+d∘d check run on Python ints.  This is linear algebra about the complex,
+not the statement under test.
+
 Over GF(p) a table computes each degree type once.  The type of m is its
 facet bitmask from the box scan (:meth:`Cone.facet_masks`) together with
 m mod p.  This is sound by construction: V_m is the intersection of the
 face subspaces picked out by the mask, and the coordinates of m in V_m,
 which fix every differential, only see m mod p.  Over QQ the coordinates
-see all of m, so every degree is computed on its own.
+see all of m, so every degree is computed on its own.  Either way the table
+reads the faces through m from the mask and does not classify m again.
 
 Tables and reports serialize to JSON (round-trips through ``from_json``)
 and to CSV with one row per degree.  Output is byte-stable: degrees are
@@ -25,7 +34,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .forms import degree_subspace, wedge_matrix, wedge_subsets
+from .forms import _located_degree, _primitive, degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import (
     field_of_characteristic,
     mat_mul,
@@ -58,6 +67,11 @@ class DegreeComplex:
     matrix of level a into level a+1 (columns indexed by the lexicographic
     wedge basis).  Consecutive differentials compose to zero; this is
     asserted at construction.
+
+    Over QQ the differential wedges with the primitive integer vector on the
+    line of the coordinates of m, so the matrices have int entries; by the
+    lemma in the module docstring they have the ranks of the unscaled ones.
+    Over GF(p) they wedge with the coordinates of m themselves.
     """
 
     degree: tuple
@@ -72,15 +86,20 @@ def degree_complex(cone, m, char):
     When m vanishes in V_m (over GF(p) exactly for m in p times the
     lattice, over QQ only for m = 0) every differential is the zero matrix.
     """
-    field = field_of_characteristic(char)
-    sub = degree_subspace(cone, m, char)
     m = tuple(int(x) for x in m)
-    w = sub.coordinates_of(m)
-    n = cone.ambient_rank
+    return _assemble(cone.facets_containing(m), m, char)
+
+
+def _assemble(facets, m, char):
+    """:func:`degree_complex` for a degree whose faces are already known."""
+    field = field_of_characteristic(char)
+    sub, w = _located_degree(facets, m, char)
+    if not char:
+        w = _primitive(w)
+    n = len(m)
     diffs = [wedge_matrix(field, w, a) for a in range(n)]
     for a in range(n - 1):
-        prod = mat_mul(field, diffs[a + 1], diffs[a])
-        if any(x != field.zero for x in prod.flat):
+        if any(mat_mul(field, diffs[a + 1], diffs[a]).flat):
             raise AssertionError("differential does not square to zero")
     return DegreeComplex(m, char, tuple(comb(sub.dim, a) for a in range(n + 1)), tuple(diffs))
 
@@ -170,14 +189,20 @@ def cohomology_table(cone, bound, char):
     entries = {}
     for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
         if not char:
-            entries[m] = cohomology(degree_complex(cone, m, char))
+            entries[m] = _scanned_cohomology(cone, m, mask, char)
             continue
         key = (mask, tuple(x % char for x in m))
         got = memo.get(key)
         if got is None:
-            got = memo[key] = cohomology(degree_complex(cone, m, char))
+            got = memo[key] = _scanned_cohomology(cone, m, mask, char)
         entries[m] = got
     return CohomologyTable(cone.rays, char, bound, entries)
+
+
+def _scanned_cohomology(cone, m, mask, char):
+    # the faces through a scanned point come from its mask, as in Cone.facets_containing
+    facets = tuple(f for f in cone.facets if mask >> f.index & 1)
+    return cohomology(_assemble(facets, m, char))
 
 
 # ---------------------------------------------------------------------------

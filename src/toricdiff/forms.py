@@ -10,7 +10,8 @@ whole of k^n.
 
 Everything here takes the cone on the exponent side.  Subspaces attached to
 faces and face intersections are cached, so scanning a large box of degrees
-touches each distinct face set once per characteristic.
+touches each distinct face set once per characteristic.  Both caches are
+bounded, so a long-lived process does not grow with every cone it sees.
 """
 
 from __future__ import annotations
@@ -52,29 +53,46 @@ def wedge_subsets(dim, a):
     return tuple(itertools.combinations(range(dim), a))
 
 
+@lru_cache(maxsize=None)
+def _wedge_template(d, a):
+    """``(row, column, odd, pos)`` for each entry ``e_pos ∧ e_I = ±e_J`` of
+    :func:`wedge_matrix` on level a of ``k^d``; odd marks the minus sign."""
+    index = {J: j for j, J in enumerate(wedge_subsets(d, a + 1))}
+    out = []
+    for col, I in enumerate(wedge_subsets(d, a)):
+        for pos in range(d):
+            if pos not in I:
+                J = tuple(sorted(I + (pos,)))
+                out.append((index[J], col, sum(1 for x in I if x < pos) % 2 == 1, pos))
+    return tuple(out)
+
+
 def wedge_matrix(field, w, a):
     """Matrix of ``w ∧ -`` from wedge level a to level a+1 of ``k^len(w)``.
 
     Rows and columns are indexed by the lexicographic subsets of
     :func:`wedge_subsets`: ``e_pos ∧ e_I`` is ``e_J`` for J the sorted union,
-    with the sign of moving ``pos`` past the indices of I below it.
+    with the sign of moving ``pos`` past the indices of I below it.  The
+    entries are those of w, negated where the sign is odd, so integer w gives
+    an integer matrix.
     """
     d = len(w)
-    source = wedge_subsets(d, a)
-    target = wedge_subsets(d, a + 1)
-    index = {J: j for j, J in enumerate(target)}
-    D = zero_matrix(len(target), len(source))
-    for ci, I in enumerate(source):
-        for pos, c in enumerate(w):
-            if c == field.zero or pos in I:
-                continue
-            J = tuple(sorted(I + (pos,)))
-            sign = -1 if sum(1 for x in I if x < pos) % 2 else 1
-            D[index[J], ci] = field.mul(field.of(sign), c)
+    D = zero_matrix(len(wedge_subsets(d, a + 1)), len(wedge_subsets(d, a)))
+    neg = field.neg
+    for row, col, odd, pos in _wedge_template(d, a):
+        c = w[pos]
+        if c:
+            D[row, col] = neg(c) if odd else c
     return D
 
 
-@lru_cache(maxsize=None)
+# Entries held by each V_m cache.  A box touches one entry per distinct face
+# set, so this is far above any table's working set; it only stops a long
+# process that visits many cones from growing without limit.
+_VM_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_VM_CACHE_SIZE)
 def facet_subspace(facet, char):
     """Subspace of k^n spanned by one codimension-one face.
 
@@ -93,13 +111,22 @@ def degree_subspace(cone, m, char):
     V_m, and that is asserted on every call.
     """
     m = tuple(int(x) for x in m)
-    sub = _facet_intersection(cone.facets_containing(m), cone.ambient_rank, char)
-    if not sub.contains(m):
+    return _located_degree(cone.facets_containing(m), m, char)[0]
+
+
+def _located_degree(facets, m, char):
+    """V_m for the faces through m, with the coordinates of m in its basis.
+
+    One coordinate solve both gives the coordinates and asserts ``m in V_m``.
+    """
+    sub = _facet_intersection(facets, len(m), char)
+    w = sub.coordinates_of(m)
+    if w is None:
         raise AssertionError(f"degree {m} escaped its own subspace")
-    return sub
+    return sub, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_VM_CACHE_SIZE)
 def _facet_intersection(facets, n, char):
     # keyed on the facets themselves, not the cone, so the cache keeps no cone alive
     field = field_of_characteristic(char)
@@ -135,6 +162,19 @@ def graded_piece(cone, m, char):
     return GradedPiece(tuple(int(x) for x in m), char, degree_subspace(cone, m, char))
 
 
+def _primitive(row):
+    """The primitive integer vector on the line of a rational vector.
+
+    The scale factor is positive, so signs are kept; the zero vector stays
+    zero.
+    """
+    fracs = [Fraction(x) for x in row]
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
 def integer_lifts(sub):
     """One integer vector over each basis row of a subspace.
 
@@ -142,19 +182,9 @@ def integer_lifts(sub):
     reduces back to its row mod p.  Rational rows are scaled to primitive
     integer vectors on the same line.
     """
-    out = []
-    for row in sub.basis:
-        if sub.field.characteristic:
-            out.append(tuple(int(x) for x in row))
-        else:
-            fracs = [Fraction(x) for x in row]
-            mult = lcm(*(f.denominator for f in fracs))
-            ints = [int(f * mult) for f in fracs]
-            g = 0
-            for x in ints:
-                g = gcd(g, abs(x))
-            out.append(tuple(x // g for x in ints))
-    return tuple(out)
+    if sub.field.characteristic:
+        return tuple(tuple(int(x) for x in row) for row in sub.basis)
+    return tuple(_primitive(row) for row in sub.basis)
 
 
 # ---------------------------------------------------------------------------

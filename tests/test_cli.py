@@ -194,6 +194,19 @@ class TestExitCodes:
         code, _, err = run_cli("vm", CONE, "--degree", "1,x", capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("level, message", [("9", "wedge degree 9 out of range"), ("x", "'x'")])
+    def test_bad_wedge_level_refused_before_the_verification(self, capsys, monkeypatch, level, message):
+        import toricdiff.cli as cli
+
+        def not_reached(*args):
+            raise AssertionError("the verification ran before --a was checked")
+
+        monkeypatch.setattr(cli, "verify_isomorphism", not_reached)
+        code, out, err = run_cli("cartier", CONE, "--p", "5", "--bound", "4", "--a", level, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
     def test_facets_on_low_dimensional_cone(self, tmp_path, capsys):
         spec = tmp_path / "ray.json"
         spec.write_text('{"lattice_rank": 2, "rays": [[0, 1]], "space": "M"}')

@@ -1,7 +1,13 @@
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tests.structural import random_exponent_cones
+from toricdiff import complexes, forms
 from toricdiff.cones import Cone
 from toricdiff.complexes import (
     CohomologyTable,
@@ -13,6 +19,8 @@ from toricdiff.complexes import (
     oracle_full_complex,
     poincare_check,
 )
+from toricdiff.forms import degree_subspace, facet_subspace, wedge_matrix
+from toricdiff.linalg import QQ, rank
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +65,44 @@ class TestDegreeComplex:
         assert cohomology(degree_complex(quadric, m, 2)) == (1, 2, 1)
         assert cohomology(degree_complex(quadric, m, 3)) == (0, 0, 0)
 
+    def test_perturbed_wedge_fails_the_integer_square_check(self, monkeypatch):
+        # negative control: the d∘d check on integer matrices can still fail
+        real = complexes.wedge_matrix
+
+        def perturbed(field, w, a):
+            D = real(field, w, a)
+            if a == 1:
+                D[0, 0] += 1
+            return D
+
+        monkeypatch.setattr(complexes, "wedge_matrix", perturbed)
+        octant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(AssertionError, match="differential does not square to zero"):
+            degree_complex(octant, (1, 1, 1), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+def test_scaling_lemma(seed, pick):
+    # over QQ the complex wedges with the primitive integer vector on the line
+    # of w, the coordinates of m; its cohomology must be that of w itself
+    cone = next(random_exponent_cones(random.Random(seed), 1))
+    points = cone.lattice_points(2)
+    m = points[pick % len(points)]
+    n = cone.ambient_rank
+    w = degree_subspace(cone, m, 0).coordinates_of(m)
+    assert all(isinstance(x, Fraction) for x in w)
+    ranks = [rank(QQ, wedge_matrix(QQ, w, a)) for a in range(n)] + [0]
+    dc = degree_complex(cone, m, 0)
+    want = tuple(dc.dims[a] - ranks[a] - (ranks[a - 1] if a else 0) for a in range(n + 1))
+    assert cohomology(dc) == want
+    assert all(type(x) is int for D in dc.differentials for x in D.flat)
+    if any(w):
+        # level 0 -> 1 is the column of the scaled vector: a positive multiple of w
+        scaled = list(dc.differentials[0][:, 0])
+        c = next(Fraction(s, x) for s, x in zip(scaled, w) if x)
+        assert c > 0 and scaled == [c * x for x in w]
+
 
 class TestCohomologyTable:
     def test_quadric_mod_2_small_box(self, quadric):
@@ -97,6 +143,22 @@ class TestCohomologyTable:
         assert len(table.entries) == 235
         for m, h in table.entries.items():
             assert h == cohomology(degree_complex(cone, m, 3)), m
+
+    def test_bounded_vm_caches_survive_eviction(self, corpus, monkeypatch):
+        assert facet_subspace.cache_info().maxsize is not None
+        assert forms._facet_intersection.cache_info().maxsize is not None
+        cone = corpus["square-3d"]
+        warm = {char: cohomology_table(cone, 2, char) for char in (0, 3)}
+        real = complexes._located_degree
+
+        def evicting(*args):
+            facet_subspace.cache_clear()
+            forms._facet_intersection.cache_clear()
+            return real(*args)
+
+        monkeypatch.setattr(complexes, "_located_degree", evicting)
+        for char, table in warm.items():
+            assert cohomology_table(cone, 2, char) == table
 
     def test_streamed_hash_is_the_csv_hash(self, quadric):
         table = cohomology_table(quadric, 3, 2)

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from toricdiff import forms
 from toricdiff.cones import Cone, NotInConeError
 from toricdiff.forms import (
     FormExpression,
@@ -11,6 +13,7 @@ from toricdiff.forms import (
     graded_piece,
     integer_lifts,
     to_form,
+    wedge_matrix,
     wedge_subsets,
 )
 from toricdiff.linalg import GF, QQ, subspace
@@ -89,6 +92,50 @@ class TestGradedPiece:
         assert piece.degree == (1, 1)
         assert piece.characteristic == 5
         assert piece.subspace.dim == 2
+
+
+def sorting_sign(seq):
+    """Sign of the permutation that sorts ``seq``, from its inversion count."""
+    inversions = sum(1 for i, j in itertools.combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def reference_wedge(field, w, a):
+    """``w ∧ -`` from level a to a+1, column by column: e_pos ∧ e_I = sign(pos, *I) e_J."""
+    d = len(w)
+    rows = list(itertools.combinations(range(d), a + 1))
+    cols = list(itertools.combinations(range(d), a))
+    M = [[field.zero] * len(cols) for _ in rows]
+    for j, I in enumerate(cols):
+        for pos in set(range(d)) - set(I):
+            i = rows.index(tuple(sorted((pos, *I))))
+            term = field.mul(field.of(sorting_sign((pos, *I))), field.of(w[pos]))
+            M[i][j] = field.add(M[i][j], term)
+    return M
+
+
+class TestWedgeMatrix:
+    # coordinate vectors with and without zero entries, for every d <= 5
+    VECTORS = [[(-1) ** k * (k + 2) for k in range(d)] for d in range(6)]
+    VECTORS += [[k % 3 - 1 for k in range(d)] for d in range(1, 6)]
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "gf5"])
+    def test_matches_the_sorting_sign(self, kind):
+        field = GF(5) if kind == "gf5" else QQ
+        for raw in self.VECTORS:
+            if kind == "fraction":
+                w = [Fraction(x, 3) for x in raw]
+            else:
+                w = [field.of(x) for x in raw] if kind == "gf5" else list(raw)
+            for a in range(len(w) + 1):
+                D = wedge_matrix(field, w, a)
+                want = reference_wedge(field, w, a)
+                assert D.shape == (len(want), len(wedge_subsets(len(w), a))), (w, a)
+                assert D.tolist() == want, (w, a)
+                if kind == "int":
+                    assert all(type(x) is int for x in D.flat)
+                if kind == "gf5":
+                    assert all(0 <= x < 5 for x in D.flat)
 
 
 class TestIntegerLifts:
