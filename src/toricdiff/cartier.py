@@ -30,7 +30,15 @@ from math import comb
 import numpy as np
 
 from .complexes import cohomology_table, degree_complex
-from .forms import FormExpression, FormTerm, degree_subspace, to_form, wedge_matrix, wedge_subsets
+from .forms import (
+    FormExpression,
+    FormTerm,
+    _located_degree,
+    degree_subspace,
+    to_form,
+    wedge_matrix,
+    wedge_subsets,
+)
 from .linalg import GF, identity_matrix, mat_mul, rank, zero_matrix
 
 __all__ = [
@@ -159,12 +167,13 @@ def _typed_sources(cone, bound, p):
 
     The type of m is its facet mask from the box scan (see the module
     docstring).  :func:`_shift_outcome` runs once per type and is replayed
-    for the other degrees of the type.  ``degree_subspace`` runs on every
-    source degree, so ``m in V_m`` is asserted for each.
+    for the other degrees of the type.  V_m is located from the faces the
+    mask names, without classifying m again, and the one coordinate solve
+    there asserts ``m in V_m`` for every source degree.
     """
     memo = {}
     for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
-        sub = degree_subspace(cone, m, p)
+        sub = _located_degree(cone._facets_of(mask), m, p)[0]
         got = memo.get(mask)
         if got is None:
             got = memo[mask] = _shift_outcome(cone, m, p)

@@ -200,9 +200,7 @@ def cohomology_table(cone, bound, char):
 
 
 def _scanned_cohomology(cone, m, mask, char):
-    # the faces through a scanned point come from its mask, as in Cone.facets_containing
-    facets = tuple(f for f in cone.facets if mask >> f.index & 1)
-    return cohomology(_assemble(facets, m, char))
+    return cohomology(_assemble(cone._facets_of(mask), m, char))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+# Most points a box scan may visit.  The scan holds a slab of (2B+1)^(n-1)
+# points at a time and returns every point it keeps, so a larger box would
+# exhaust memory before it got slow; the largest box in the tests, demos and
+# benchmark is 41^3.
+_MAX_BOX_POINTS = 10**7
+
+
 class NotPointedError(ValueError):
     """Raised when an operation needs a pointed cone (or a full dimensional dual)."""
 
@@ -148,6 +155,10 @@ class Cone:
         mask = self._point_mask(v)
         if mask is None:
             raise NotInConeError(f"{v} is not a lattice point of the cone")
+        return self._facets_of(mask)
+
+    def _facets_of(self, mask):
+        """The facets whose bits are set in a facet bitmask, in index order."""
         return tuple(f for f in self.facets if mask >> f.index & 1)
 
     def lattice_points(self, bound):
@@ -163,10 +174,17 @@ class Cone:
         ``max_u sum|u_i| * bound`` stays below ``2**62``, Python integers
         (``dtype=object``) otherwise.
 
-        The origin is always included.  Results are cached per bound.
+        The origin is always included.  Results are cached per bound.  A box
+        of more than ``_MAX_BOX_POINTS`` points is refused before the scan.
         """
         if bound < 0:
             raise ValueError("bound must be nonnegative")
+        size = (2 * bound + 1) ** self.ambient_rank
+        if size > _MAX_BOX_POINTS:
+            raise ValueError(
+                f"the box [-{bound}, {bound}]^{self.ambient_rank} has {size} points, "
+                f"more than the limit of {_MAX_BOX_POINTS}"
+            )
         cache = self.__dict__.setdefault("_scans", {})
         got = cache.get(bound)
         if got is None:
@@ -308,6 +326,17 @@ def _pointed_double_description(ineq_rows, r):
     independent subset of r inequalities cuts out a simplicial cone whose
     rays seed the incremental insertion.  Adjacency of two rays is decided
     by the rank of the inequalities active on both.
+
+    Every ray v carries its incidence mask ``tight[v]``: bit k is set when
+    v is tight on ``processed[k]``.  The seed rays get theirs from one pass
+    of dot products over the base rows.  Inserting a row, the rays it is tight on
+    gain its bit, and a fresh ray built from an adjacent pair (u, w) gets
+    ``tight[u] & tight[w]`` plus the new bit, with no dot product.  That is
+    exact: for a processed row b, ``<b, combo> = vals[u]<b, w> -
+    vals[w]<b, u>`` with ``vals[u] > 0 > vals[w]`` and both inner products
+    nonnegative, so it vanishes exactly when both do.  The rows active on a
+    pair are then read off the common mask, and :func:`_adjacent` only takes
+    a rank when there are enough of them.
     """
     base = subspace(QQ, list(zip(*ineq_rows))).pivots
     if len(base) != r:
@@ -320,27 +349,40 @@ def _pointed_double_description(ineq_rows, r):
         mult = lcm(*(f.denominator for f in column))
         rays.append(_primitive(tuple(int(f * mult) for f in column)))
     processed = [ineq_rows[i] for i in base]
+    tight = {v: sum(1 << k for k, b in enumerate(processed) if _dot(b, v) == 0) for v in rays}
     for i, row in enumerate(ineq_rows):
         if i in base:
             continue
+        bit = 1 << len(processed)
         vals = {v: _dot(row, v) for v in rays}
         plus = [v for v in rays if vals[v] > 0]
         zero = [v for v in rays if vals[v] == 0]
         minus = [v for v in rays if vals[v] < 0]
+        for v in zero:
+            tight[v] |= bit
         if minus:
-            fresh = set()
+            fresh = {}
             for u in plus:
                 for w in minus:
-                    if _adjacent(u, w, processed, r):
+                    common = tight[u] & tight[w]
+                    if _adjacent(common, processed, r):
                         combo = tuple(vals[u] * b - vals[w] * a for a, b in zip(u, w))
-                        fresh.add(_primitive(combo))
+                        fresh[_primitive(combo)] = common | bit
             rays = plus + zero + sorted(fresh)
+            tight = {v: tight[v] for v in plus + zero} | fresh
         processed.append(row)
     return sorted(set(rays))
 
 
-def _adjacent(u, w, processed, r):
-    active = [b for b in processed if _dot(b, u) == 0 and _dot(b, w) == 0]
-    if not active:
+def _adjacent(common, processed, r):
+    """Whether two rays tight on the rows of mask ``common`` span an edge.
+
+    The rank of the active rows is at most their number, so a mask with
+    fewer than r - 2 bits is refused without taking a rank.
+    """
+    if common.bit_count() < r - 2:
+        return False
+    if not common:
         return r == 2
+    active = [b for k, b in enumerate(processed) if common >> k & 1]
     return rank(QQ, active) == r - 2

@@ -156,6 +156,12 @@ class TestVerifyIsomorphism:
             seen += 1
         assert seen == len(cone.lattice_points(2))
 
+    def test_typed_sources_read_v_m_from_the_mask(self, corpus):
+        # V_m comes from the faces the scan mask names, not from classifying m
+        cone = corpus["square-3d"]
+        for m, sub, _ in cartier._typed_sources(cone, 2, 3):
+            assert sub == degree_subspace(cone, m, 3), m
+
     def test_json_round_trip(self, orthant):
         report = verify_isomorphism(orthant, 2, 3)
         again = CartierReport.from_json(report.to_json())

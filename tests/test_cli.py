@@ -207,6 +207,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cohomology", "orthant-3", "--p", "2", "--bound", "100000"),
+            ("cartier", "orthant-3", "--p", "5", "--bound", "100000"),
+        ],
+    )
+    def test_oversized_box_refused_before_the_scan(self, capsys, monkeypatch, argv):
+        from toricdiff.cones import Cone
+
+        def not_reached(*args):
+            raise AssertionError("the box was scanned")
+
+        monkeypatch.setattr(Cone, "_scan", not_reached)
+        command, cone, *rest = argv
+        code, out, err = run_cli(command, CONE_DIR / f"{cone}.json", *rest, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "more than the limit" in err
+
     def test_facets_on_low_dimensional_cone(self, tmp_path, capsys):
         spec = tmp_path / "ray.json"
         spec.write_text('{"lattice_rank": 2, "rays": [[0, 1]], "space": "M"}')

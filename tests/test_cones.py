@@ -1,4 +1,7 @@
 import itertools
+import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -179,6 +182,102 @@ class TestScanMatchesDefinition:
         assert HUGE.lattice_points(1) == ((0, 0), (1, 0), (1, 1))
         assert HUGE.facet_masks(1) == (3, 1, 0)
         assert HUGE.contains((10**30, 1)) and not HUGE.contains((0, 1))
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(row) for row in rows]
+    k = len(m)
+    sign, prev = 1, 1
+    for c in range(k):
+        piv = next((i for i in range(c, k) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        for i in range(c + 1, k):
+            for j in range(c + 1, k):
+                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
+        prev = m[c][c]
+    return sign * m[-1][-1]
+
+
+def _rank(rows):
+    """Rank over QQ by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _brute_force_facets(rays, n):
+    """Facet normals of a full dimensional pointed cone, by brute force.
+
+    Every facet contains n - 1 independent rays, so the facet normals are the
+    primitive normals of the rank n - 1 subsets of the rays that are
+    nonnegative on every ray.  The normal of a subset has the signed maximal
+    minors of its rows as entries.
+    """
+    out = set()
+    for subset in itertools.combinations(rays, n - 1):
+        normal = [
+            (-1) ** i * _det([row[:i] + row[i + 1 :] for row in subset]) for i in range(n)
+        ]
+        g = gcd(*normal)
+        if not g:
+            continue
+        normal = tuple(x // g for x in normal)
+        for sign in (1, -1):
+            u = tuple(sign * x for x in normal)
+            if all(_dot(u, v) >= 0 for v in rays):
+                out.add(u)
+    return out
+
+
+def _random_pointed_cone(rng, n, count):
+    """Distinct primitive rays in the half space x_0 > 0, spanning ZZ^n."""
+    while True:
+        rays = set()
+        while len(rays) < count:
+            v = (rng.randint(1, 3),) + tuple(rng.randint(-2, 2) for _ in range(n - 1))
+            g = gcd(*v)
+            rays.add(tuple(x // g for x in v))
+        rays = sorted(rays)
+        if _rank(rays) == n:
+            return rays
+
+
+class TestDoubleDescriptionAgainstBruteForce:
+    """The double description against an enumeration of ray subsets.
+
+    A wrong adjacency test keeps rays that are not extreme, or drops some
+    that are, and on rank 6 cones this changes the dual; rank 6 is where the
+    rank test stops being implied by the count of common tight rows.
+    """
+
+    @pytest.mark.parametrize("n, cones", [(4, 4), (5, 4), (6, 12)])
+    def test_rays_and_facets(self, n, cones):
+        rng = random.Random(20 + n)
+        for _ in range(cones):
+            rays = _random_pointed_cone(rng, n, rng.randint(8, 11))
+            cone = Cone(rays)
+            normals = _brute_force_facets(rays, n)
+            assert set(cone.dual.rays) == normals, rays
+            extreme = {v for v in rays if _rank([u for u in normals if _dot(u, v) == 0]) == n - 1}
+            assert set(cone.rays) == extreme, rays
 
 
 class TestPickling:
