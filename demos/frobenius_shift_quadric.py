@@ -33,7 +33,7 @@ print("table hash:", table.table_hash())
 shift = phi(quadric, (1, 1), p)[1]
 print("phi source degree:", shift.source_degree)
 print("phi target degree:", shift.target_degree)
-print("phi matrix at level 1:", [[int(x) for x in row] for row in shift.matrix.tolist()])
+print("phi matrix at level 1:", [[int(x) for x in row] for row in shift.matrix])
 
 # On generators the inverse map has a closed form: the class of
 # x^((p-1)m) dx^m.  Render both sides as actual form expressions.

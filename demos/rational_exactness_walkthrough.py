@@ -40,7 +40,7 @@ print("V_(2,1) basis over QQ:", fmt(degree_subspace(plane, m, 0).basis))
 dc = degree_complex(plane, m, 0)
 print("level dimensions:", dc.dims)
 for a, D in enumerate(dc.differentials):
-    print(f"differential {a} -> {a + 1}:", fmt(D.tolist()))
+    print(f"differential {a} -> {a + 1}:", fmt(D))
 
 # Wedging with a nonzero vector is exact, so every cohomology group dies.
 print("cohomology in degree (2,1):", cohomology(dc))

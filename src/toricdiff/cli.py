@@ -32,6 +32,13 @@ from .linalg import GF
 __all__ = ["main", "ConeSpecError", "load_cone_spec", "exponent_cone"]
 
 
+# Largest lattice_rank a cone file may ask for.  Building the cone takes an
+# n x n identity through Hermite normal form, which at rank 1000 runs for
+# minutes; rank 64 builds in about half a second, and every cone in the
+# tests, demos and benchmark has rank at most 6.
+_MAX_LATTICE_RANK = 64
+
+
 class ConeSpecError(ValueError):
     """Malformed cone specification file."""
 
@@ -53,6 +60,8 @@ def load_cone_spec(path):
     n = data["lattice_rank"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConeSpecError(f"{path}: lattice_rank must be a positive integer")
+    if n > _MAX_LATTICE_RANK:
+        raise ConeSpecError(f"{path}: lattice_rank {n} is above the limit of {_MAX_LATTICE_RANK}")
     raw = data["rays"]
     if not isinstance(raw, list):
         raise ConeSpecError(f"{path}: rays must be a list of integer vectors")

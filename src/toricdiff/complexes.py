@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .forms import _located_degree, _primitive, degree_subspace, wedge_matrix, wedge_subsets
+from .forms import _located_degree, _primitive, wedge_matrix, wedge_subsets
 from .linalg import (
     field_of_characteristic,
     mat_mul,
@@ -64,8 +64,8 @@ class DegreeComplex:
     """Wedge-power complex in one degree.
 
     ``dims[a]`` is the dimension at level a and ``differentials[a]`` the
-    matrix of level a into level a+1 (columns indexed by the lexicographic
-    wedge basis).  Consecutive differentials compose to zero; this is
+    matrix of level a into level a+1, a tuple of row tuples (columns indexed
+    by the lexicographic wedge basis).  Consecutive differentials compose to zero; this is
     asserted at construction.
 
     Over QQ the differential wedges with the primitive integer vector on the
@@ -99,7 +99,7 @@ def _assemble(facets, m, char):
     n = len(m)
     diffs = [wedge_matrix(field, w, a) for a in range(n)]
     for a in range(n - 1):
-        if any(mat_mul(field, diffs[a + 1], diffs[a]).flat):
+        if any(map(any, mat_mul(field, diffs[a + 1], diffs[a]))):
             raise AssertionError("differential does not square to zero")
     return DegreeComplex(m, char, tuple(comb(sub.dim, a) for a in range(n + 1)), tuple(diffs))
 
@@ -305,12 +305,11 @@ def oracle_full_complex(cone, bound, char):
     the grading argument and two unrelated elimination codepaths.
     """
     field = field_of_characteristic(char)
-    degrees = cone.lattice_points(bound)
     n = cone.ambient_rank
     data = []
-    for m in degrees:
-        sub = degree_subspace(cone, m, char)
-        data.append((sub.dim, sub.coordinates_of(m)))
+    for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
+        sub, w = _located_degree(cone._facets_of(mask), m, char)
+        data.append((sub.dim, w))
     offsets = []
     totals = []
     for a in range(n + 1):

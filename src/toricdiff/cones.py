@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     QQ,
     SaturatedLattice,
+    _transpose,
     imat,
     left_kernel,
     rank,
@@ -307,16 +308,15 @@ def _double_description(ineqs, n):
     of the lineality space.
     """
     A = imat(ineqs, n)
-    lin = left_kernel(A.T)
-    lin_rows = tuple(tuple(int(x) for x in row) for row in lin)
-    r = n - len(lin_rows)
+    lin = left_kernel(_transpose(A, n), len(A))
+    r = n - len(lin)
     if r == 0:
-        return lin_rows, ()
-    P = left_kernel(imat(lin_rows, n).T)
-    Aq = A @ P.T
-    quotient_rays = _pointed_double_description([tuple(row) for row in Aq], r)
-    rays = sorted(_primitive(tuple(_dot(y, col) for col in P.T)) for y in quotient_rays)
-    return lin_rows, tuple(rays)
+        return lin, ()
+    P = left_kernel(_transpose(lin, n), len(lin))
+    quotient_rays = _pointed_double_description([tuple(_dot(a, q) for q in P) for a in A], r)
+    columns = _transpose(P, n)
+    rays = sorted(_primitive(tuple(_dot(y, col) for col in columns)) for y in quotient_rays)
+    return lin, tuple(rays)
 
 
 def _pointed_double_description(ineq_rows, r):

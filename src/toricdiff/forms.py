@@ -29,7 +29,6 @@ from .linalg import (
     full_space,
     intersect,
     lattice_subspace,
-    zero_matrix,
 )
 
 __all__ = [
@@ -77,13 +76,13 @@ def wedge_matrix(field, w, a):
     an integer matrix.
     """
     d = len(w)
-    D = zero_matrix(len(wedge_subsets(d, a + 1)), len(wedge_subsets(d, a)))
+    D = [[0] * len(wedge_subsets(d, a)) for _ in wedge_subsets(d, a + 1)]
     neg = field.neg
     for row, col, odd, pos in _wedge_template(d, a):
         c = w[pos]
         if c:
-            D[row, col] = neg(c) if odd else c
-    return D
+            D[row][col] = neg(c) if odd else c
+    return tuple(map(tuple, D))
 
 
 # Entries held by each V_m cache.  A box touches one entry per distinct face

@@ -1,14 +1,15 @@
 """Exact linear algebra over the integers, the rationals, and prime fields.
 
-Matrices are numpy arrays with ``dtype=object`` holding Python ints or
+Matrices are tuples of row tuples holding Python ints or
 ``fractions.Fraction`` entries, so arithmetic never overflows and never
 rounds.  Lattices are kept in Hermite normal form and subspaces in reduced
 row echelon form; both normal forms are unique for a given row space, which
 makes equality a plain comparison of entries.
 
-Zero-row and zero-column matrices are legal everywhere.  Ranks over QQ are
-computed fraction-free (Bareiss); ranks over GF(p) by ordinary elimination
-on residues.
+Zero-row and zero-column matrices are legal everywhere.  A matrix with no
+rows is ``()`` and carries no width, so functions that need one take it as
+``ncols``.  Ranks over QQ are computed fraction-free (Bareiss); ranks over
+GF(p) by ordinary elimination on residues.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from math import lcm
-
-import numpy as np
 
 __all__ = [
     "imat",
@@ -52,55 +51,41 @@ __all__ = [
 
 
 def imat(rows, ncols=None):
-    """Integer matrix with ``dtype=object`` from an iterable of rows.
+    """Integer matrix, a tuple of row tuples, from an iterable of rows.
 
     ``ncols`` fixes the width of a matrix with no rows, which is otherwise
     ambiguous.  Entries must be integers (bools are rejected).
     """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise ValueError("expected a two dimensional array")
-        if ncols is not None and rows.shape[1] != ncols:
-            raise ValueError(f"expected {ncols} columns, got {rows.shape[1]}")
-        return rows.astype(object)
-    data = []
-    for row in rows:
-        data.append([_as_int(x) for x in row])
-    if not data:
+    M = tuple(tuple(_as_int(x) for x in row) for row in rows)
+    if not M:
         if ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
-        return np.zeros((0, ncols), dtype=object)
-    width = len(data[0])
-    if any(len(r) != width for r in data):
+        return M
+    width = len(M[0])
+    if any(len(r) != width for r in M):
         raise ValueError("rows have unequal lengths")
     if ncols is not None and width != ncols:
         raise ValueError(f"expected {ncols} columns, got {width}")
-    M = np.empty((len(data), width), dtype=object)
-    for i, r in enumerate(data):
-        for j, x in enumerate(r):
-            M[i, j] = x
     return M
 
 
 def _as_int(x):
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"not an integer entry: {x!r}")
     return int(x)
 
 
 def identity_matrix(n):
-    M = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        M[i, i] = 1
-    return M
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def zero_matrix(nrows, ncols):
-    return np.zeros((nrows, ncols), dtype=object)
+    return ((0,) * ncols,) * nrows
 
 
-def _int_rows(M):
-    return tuple(tuple(int(x) for x in row) for row in M)
+def _transpose(M, width):
+    """Columns of M as rows; ``width`` is the column count when M has no rows."""
+    return tuple(zip(*M)) if M else ((),) * width
 
 
 # ---------------------------------------------------------------------------
@@ -114,45 +99,45 @@ def hnf(A, ncols=None):
     positive, entries above a pivot are reduced into ``[0, pivot)``, zero
     rows sit at the bottom.  ``H`` is unique for the row space of ``A``.
 
-    >>> H, U = hnf([[2, 4]])
-    >>> H.tolist()
-    [[2, 4]]
-    >>> H, U = hnf([[2, 0], [0, 2], [1, 1]])
-    >>> H.tolist()
-    [[1, 1], [0, 2], [0, 0]]
+    >>> hnf([[2, 4]])[0]
+    ((2, 4),)
+    >>> hnf([[2, 0], [0, 2], [1, 1]])[0]
+    ((1, 1), (0, 2), (0, 0))
     """
     A = imat(A, ncols)
-    m, n = A.shape
-    H = A.copy()
-    U = identity_matrix(m)
+    m = len(A)
+    H = [list(r) for r in A]
+    U = [list(r) for r in identity_matrix(m)]
+
+    def subtract(i, q, k):
+        H[i] = [x - q * y for x, y in zip(H[i], H[k])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[k])]
+
     row = 0
-    for col in range(n):
-        live = [i for i in range(row, m) if H[i, col] != 0]
+    for col in range(len(A[0]) if A else 0):
+        live = [i for i in range(row, m) if H[i][col] != 0]
         if not live:
             continue
         while len(live) > 1:
-            live.sort(key=lambda i: abs(H[i, col]))
+            live.sort(key=lambda i: abs(H[i][col]))
             i0 = live[0]
             for i in live[1:]:
-                q = H[i, col] // H[i0, col]
+                q = H[i][col] // H[i0][col]
                 if q:
-                    H[i, :] -= q * H[i0, :]
-                    U[i, :] -= q * U[i0, :]
-            live = [i for i in live if H[i, col] != 0]
+                    subtract(i, q, i0)
+            live = [i for i in live if H[i][col] != 0]
         i0 = live[0]
-        if i0 != row:
-            H[[row, i0]] = H[[i0, row]]
-            U[[row, i0]] = U[[i0, row]]
-        if H[row, col] < 0:
-            H[row, :] = -H[row, :]
-            U[row, :] = -U[row, :]
+        H[row], H[i0] = H[i0], H[row]
+        U[row], U[i0] = U[i0], U[row]
+        if H[row][col] < 0:
+            H[row] = [-x for x in H[row]]
+            U[row] = [-x for x in U[row]]
         for i in range(row):
-            q = H[i, col] // H[row, col]
+            q = H[i][col] // H[row][col]
             if q:
-                H[i, :] -= q * H[row, :]
-                U[i, :] -= q * U[row, :]
+                subtract(i, q, row)
         row += 1
-    return H, U
+    return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
 def left_kernel(A, ncols=None):
@@ -161,14 +146,9 @@ def left_kernel(A, ncols=None):
     The result is a saturated lattice: it contains every integer vector of
     its rational span.
     """
-    A = imat(A, ncols)
-    m = A.shape[0]
-    H, U = hnf(A)
-    zero = [i for i in range(m) if all(x == 0 for x in H[i, :])]
-    if not zero:
-        return np.zeros((0, m), dtype=object)
-    K, _ = hnf(U[zero, :], ncols=m)
-    return K
+    H, U = hnf(A, ncols)
+    zero = [U[i] for i, row in enumerate(H) if not any(row)]
+    return hnf(zero, ncols=len(U))[0] if zero else ()
 
 
 @dataclass(frozen=True)
@@ -199,9 +179,9 @@ def saturate(rows, ambient_rank=None):
     ()
     """
     A = imat(rows, ambient_rank)
-    orth = left_kernel(A.T)
-    sat = left_kernel(orth.T)
-    return SaturatedLattice(A.shape[1], _int_rows(sat))
+    n = len(A[0]) if A else ambient_rank
+    orth = left_kernel(_transpose(A, n), len(A))
+    return SaturatedLattice(n, left_kernel(_transpose(orth, n), len(orth)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +497,7 @@ def kernel(field, M, ncols=None):
     ((Fraction(1, 1), Fraction(-1, 1)),)
     """
     rows = [list(r) for r in M]
-    width = M.shape[1] if isinstance(M, np.ndarray) else (len(rows[0]) if rows else ncols)
+    width = len(rows[0]) if rows else ncols
     if width is None:
         raise ValueError("ncols is required for a matrix with no rows")
     if not rows:
@@ -550,9 +530,8 @@ def intersect(S, T):
         return T
     if T.dim == n:
         return S
-    stacked = [list(r) for r in S.basis] + [list(r) for r in T.basis]
-    transposed = [[stacked[i][j] for i in range(len(stacked))] for j in range(n)]
-    relations = kernel(field, transposed, ncols=len(stacked))
+    stacked = S.basis + T.basis
+    relations = kernel(field, _transpose(stacked, n), ncols=len(stacked))
     gens = []
     for rel in relations.basis:
         v = [field.zero] * n
@@ -594,15 +573,24 @@ def lattice_subspace(L, field):
 
 
 def mat_mul(field, A, B):
-    """Product of two object-dtype matrices with reduction over ``field``."""
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch: {A.shape} by {B.shape}")
-    if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
-        return zero_matrix(A.shape[0], B.shape[1])
-    C = A @ B
-    if field.characteristic:
-        C = C % field.characteristic
-    return C
+    """Product of two matrices with reduction over ``field``.
+
+    Row i of the product is the combination of the rows of ``B`` weighted
+    by row i of ``A``; zero weights are skipped, which is most of them for
+    wedge matrices.
+    """
+    width = len(B[0]) if B else 0
+    if any(len(row) != len(B) for row in A):
+        raise ValueError(f"shape mismatch: {len(B)} rows in B, not the width of A")
+    p = field.characteristic
+    out = []
+    for row in A:
+        acc = [0] * width
+        for c, b in zip(row, B):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, b)]
+        out.append(tuple(x % p for x in acc) if p else tuple(acc))
+    return tuple(out)
 
 
 def sparse_rank(field, columns):

@@ -60,7 +60,7 @@ def check_degree(cone, m, char):
     dc = degree_complex(cone, m, char)
     for a in range(len(dc.differentials) - 1):
         prod = mat_mul(field, dc.differentials[a + 1], dc.differentials[a])
-        assert all(x == field.zero for x in prod.flat)
+        assert all(x == field.zero for row in prod for x in row)
 
     h = cohomology(dc)
     euler = sum((-1) ** a * x for a, x in enumerate(h))

@@ -37,7 +37,7 @@ class TestPhi:
         assert ph.source_degree == (1, 1)
         assert ph.target_degree == (2, 2)
         assert ph.a == 1
-        assert ph.matrix.shape == (2, 2)
+        assert len(ph.matrix) == 2 and all(len(row) == 2 for row in ph.matrix)
 
     def test_identity_in_matching_bases(self, quadric, orthant):
         for cone in (quadric, orthant):
@@ -45,9 +45,9 @@ class TestPhi:
                 sub = degree_subspace(cone, m, 3)
                 for shift in phi(cone, m, 3):
                     M = shift.matrix
-                    k = M.shape[0]
+                    k = len(M)
                     assert all(
-                        M[i, j] == (1 if i == j else 0)
+                        M[i][j] == (1 if i == j else 0)
                         for i in range(k)
                         for j in range(k)
                     )
@@ -91,10 +91,10 @@ class TestWedgePowers:
             assert len(levels) == d + 2
             for a, M in enumerate(levels):
                 subsets = list(itertools.combinations(range(d), a))
-                assert M.shape == (len(subsets), len(subsets))
+                assert len(M) == len(subsets) and all(len(row) == len(subsets) for row in M)
                 for ci, I in enumerate(subsets):
                     for ri, J in enumerate(subsets):
-                        assert M[ri, ci] == self.minor(rows, I, J, p), (rows, a, I, J)
+                        assert M[ri][ci] == self.minor(rows, I, J, p), (rows, a, I, J)
 
 
 class TestChecks:
@@ -222,8 +222,9 @@ class TestNegativeControls:
             got = phi(cone, m, p)
             if cone.facets_containing(m) == ():
                 calls.append(m)
-                M = got[1].matrix.copy()
-                M[0, 1] = 1  # invertible, not the identity
+                M = [list(row) for row in got[1].matrix]
+                M[0][1] = 1  # invertible, not the identity
+                M = tuple(map(tuple, M))
                 got = (got[0], PhiMap(got[1].source_degree, got[1].target_degree, 1, M)) + got[2:]
             return got
 
@@ -247,8 +248,9 @@ class TestNegativeControls:
         def broken_complex(cone, m, char):
             got = degree_complex(cone, m, char)
             if cone.facets_containing(m) == ():
-                first = got.differentials[0].copy()
-                first[0, 0] = 1
+                first = [list(row) for row in got.differentials[0]]
+                first[0][0] = 1
+                first = tuple(map(tuple, first))
                 got = DegreeComplex(got.degree, char, got.dims, (first,) + got.differentials[1:])
             return got
 
@@ -268,4 +270,22 @@ class TestNegativeControls:
                 f"degree {m}, a=0: shift image is not closed",
                 f"degree {m}, a=1: induced rank 1 of 2, cohomology dimension 2",
             )
+        )
+
+    def test_wrong_target_faces_fail_the_generator_identity(self, orthant, monkeypatch):
+        # the faces through pm come from the scan of the target box, not from the
+        # mask of m; forget them there and V_pm grows to the whole space, so the
+        # wedge coordinates of every degree on an axis drift
+        real = Cone.facet_masks
+
+        def forgetful(cone, bound):
+            masks = real(cone, bound)
+            return (0,) * len(masks) if bound == self.P * self.BOUND else masks
+
+        monkeypatch.setattr(Cone, "facet_masks", forgetful)
+        result = inverse_cartier_generator_check(orthant, self.BOUND, self.P)
+        on_axes = [m for m in orthant.lattice_points(self.BOUND) if any(m) and not all(m)]
+        assert len(on_axes) == 6
+        assert result.violations == tuple(
+            f"degree {m}: wedge coordinates drift under the shift" for m in on_axes
         )

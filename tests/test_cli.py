@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdiff.cli import ConeSpecError, exponent_cone, load_cone_spec, main
 from tests.conftest import CONE_DIR
@@ -37,6 +41,7 @@ class TestSpecLoading:
             "nonobject.json": "[1, 2]",
             "missing.json": '{"rays": [[1, 0]]}',
             "badrank.json": '{"lattice_rank": 0, "rays": [[1]]}',
+            "hugerank.json": '{"lattice_rank": 1000, "rays": []}',
             "raggedray.json": '{"lattice_rank": 2, "rays": [[1, 0], [1]]}',
             "floatray.json": '{"lattice_rank": 1, "rays": [[1.5]]}',
             "zeroray.json": '{"lattice_rank": 2, "rays": [[0, 0]]}',
@@ -151,10 +156,9 @@ class TestCommands:
 
             def broken_phi(cone, m, p):
                 got = real_phi(cone, m, p)
-                if not got[1].matrix.size:
+                if not got[1].matrix:
                     return got
-                M = got[1].matrix.copy()
-                M[:, 0] = 0
+                M = tuple((0, *row[1:]) for row in got[1].matrix)
                 return (got[0], cartier.PhiMap(m, got[1].target_degree, 1, M)) + got[2:]
 
             monkeypatch.setattr(cartier, "phi", broken_phi)
@@ -253,3 +257,65 @@ class TestDeterminism:
     def test_byte_identical_runs(self):
         args = ("cohomology", CONE, "--p", "3", "--bound", "3", "--format", "csv")
         assert self.run_subprocess(*args) == self.run_subprocess(*args)
+
+
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-2, 2) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+VALID_CONE = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "lattice_rank": st.just(n),
+            "rays": st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=4),
+        }
+    )
+)
+MALFORMED_CONE = st.fixed_dictionaries(
+    {
+        "lattice_rank": st.integers(-1, 3) | st.sampled_from([10**6, 2**70]) | JSON_JUNK,
+        "rays": st.lists(st.lists(st.integers(-2, 2), max_size=4) | JSON_JUNK, max_size=3) | JSON_JUNK,
+    },
+    optional={"space": st.sampled_from(["N", "M", "X", None, 1])},
+)
+CONE_TEXT = VALID_CONE.map(json.dumps) | (MALFORMED_CONE | JSON_JUNK).map(json.dumps) | st.text(max_size=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cone.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=CONE_TEXT,
+    command=st.sampled_from(["dual", "facets", "vm", "cohomology", "poincare", "cartier", "oracle"]),
+    p=st.sampled_from(["0", "2", "3"]) | st.sampled_from(["4", "1", "-2", "2147483647", "x", ""]),
+    bound=st.sampled_from(["1", "2"]) | st.sampled_from(["-1", "0", "100000", "x", ""]),
+    degree=st.sampled_from(["0", "1,0", "(1,1,1)"]) | st.sampled_from(["1,x", ""]) | st.text(max_size=5),
+    level=st.sampled_from(["all", "0", "1", "9", "-1", "x"]),
+    drop_required=st.integers(0, 4).map(lambda k: k == 0),
+)
+def test_fuzzed_command_line_fails_cleanly(fuzz_file, text, command, p, bound, degree, level, drop_required):
+    # whatever the cone file and flags, the CLI exits 0 or 1 silently, 2 with an
+    # error line, or 2 from argparse; no other exception escapes
+    fuzz_file.write_text(text)
+    argv = [command, str(fuzz_file)]
+    if command == "vm":
+        argv += ["--p", p] + ([] if drop_required else ["--degree", degree])
+    elif command not in ("dual", "facets"):
+        argv += ["--p", p] + ([] if drop_required else ["--bound", bound])
+    if command == "cartier":
+        argv += ["--a", level]
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert code in (0, 1) and err.getvalue() == ""

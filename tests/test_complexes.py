@@ -37,14 +37,14 @@ class TestDegreeComplex:
     def test_interior_degree_matrices(self, orthant):
         dc = degree_complex(orthant, (1, 1), 0)
         assert dc.dims == (1, 2, 1)
-        assert dc.differentials[0].tolist() == [[1], [1]]
-        assert dc.differentials[1].tolist() == [[-1, 1]]
+        assert dc.differentials[0] == ((1,), (1,))
+        assert dc.differentials[1] == ((-1, 1),)
 
     def test_zero_differential_on_p_divisible_degrees(self, orthant):
         dc = degree_complex(orthant, (2, 2), 2)
-        assert all(x == 0 for D in dc.differentials for x in D.flat)
+        assert all(x == 0 for D in dc.differentials for row in D for x in row)
         dc = degree_complex(orthant, (2, 2), 3)
-        assert any(x != 0 for D in dc.differentials for x in D.flat)
+        assert any(x != 0 for D in dc.differentials for row in D for x in row)
 
     def test_origin(self, orthant):
         dc = degree_complex(orthant, (0, 0), 0)
@@ -72,7 +72,7 @@ class TestDegreeComplex:
         def perturbed(field, w, a):
             D = real(field, w, a)
             if a == 1:
-                D[0, 0] += 1
+                D = ((D[0][0] + 1, *D[0][1:]), *D[1:])
             return D
 
         monkeypatch.setattr(complexes, "wedge_matrix", perturbed)
@@ -96,10 +96,10 @@ def test_scaling_lemma(seed, pick):
     dc = degree_complex(cone, m, 0)
     want = tuple(dc.dims[a] - ranks[a] - (ranks[a - 1] if a else 0) for a in range(n + 1))
     assert cohomology(dc) == want
-    assert all(type(x) is int for D in dc.differentials for x in D.flat)
+    assert all(type(x) is int for D in dc.differentials for row in D for x in row)
     if any(w):
         # level 0 -> 1 is the column of the scaled vector: a positive multiple of w
-        scaled = list(dc.differentials[0][:, 0])
+        scaled = [row[0] for row in dc.differentials[0]]
         c = next(Fraction(s, x) for s, x in zip(scaled, w) if x)
         assert c > 0 and scaled == [c * x for x in w]
 

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from toricdiff.linalg import (
@@ -28,41 +27,41 @@ from toricdiff.linalg import (
 
 def is_unimodular(U):
     H, _ = hnf(U)
-    return H.tolist() == identity_matrix(U.shape[0]).tolist()
+    return H == identity_matrix(len(U))
 
 
 class TestHNF:
     def test_single_row(self):
         H, U = hnf([[2, 4]])
-        assert H.tolist() == [[2, 4]]
-        assert U.tolist() == [[1]]
+        assert H == ((2, 4),)
+        assert U == ((1,),)
 
     def test_transform_relation(self):
         A = imat([[2, 0], [0, 2], [1, 1]])
         H, U = hnf(A)
-        assert (U @ A).tolist() == H.tolist()
+        assert mat_mul(QQ, U, A) == H
         assert is_unimodular(U)
-        assert H.tolist() == [[1, 1], [0, 2], [0, 0]]
+        assert H == ((1, 1), (0, 2), (0, 0))
 
     def test_idempotent(self):
         A = [[3, 1, 2], [0, 5, 1], [6, 2, 4]]
         H, _ = hnf(A)
         H2, _ = hnf(H)
-        assert H.tolist() == H2.tolist()
+        assert H == H2
 
     def test_negative_pivots_normalized(self):
         H, _ = hnf([[-3, 0], [0, -7]])
-        assert H.tolist() == [[3, 0], [0, 7]]
+        assert H == ((3, 0), (0, 7))
 
     def test_above_pivot_reduced(self):
         H, _ = hnf([[1, 5], [0, 3]])
-        assert H.tolist() == [[1, 2], [0, 3]]
+        assert H == ((1, 2), (0, 3))
 
     def test_empty_shapes(self):
         H, U = hnf([], ncols=3)
-        assert H.shape == (0, 3) and U.shape == (0, 0)
+        assert H == () and U == ()
         H, U = hnf([[], []], ncols=0)
-        assert H.shape == (2, 0) and U.shape == (2, 2)
+        assert H == ((), ()) and U == ((1, 0), (0, 1))
 
     def test_rejects_ragged_and_floats(self):
         with pytest.raises(ValueError):
@@ -76,16 +75,16 @@ class TestHNF:
 class TestLeftKernel:
     def test_dependent_rows(self):
         K = left_kernel(imat([[1, 1], [2, 2]]))
-        assert K.tolist() == [[2, -1]]
+        assert K == ((2, -1),)
 
     def test_full_rank_rows(self):
         K = left_kernel(imat([[1, 0], [0, 1]]))
-        assert K.shape == (0, 2)
+        assert K == ()
 
     def test_annihilates(self):
         A = imat([[2, 4, 6], [1, 2, 3], [0, 1, 1]])
         K = left_kernel(A)
-        assert all(x == 0 for x in (K @ A).flat)
+        assert all(x == 0 for row in mat_mul(QQ, K, A) for x in row)
 
 
 class TestSaturate:
@@ -166,8 +165,8 @@ class TestRank:
         assert rank(GF(3), [[2, 4], [1, 1]]) == 2
 
     def test_empty(self):
-        assert rank(QQ, np.zeros((0, 4), dtype=object)) == 0
-        assert rank(GF(5), np.zeros((3, 0), dtype=object)) == 0
+        assert rank(QQ, ()) == 0
+        assert rank(GF(5), ((), (), ())) == 0
 
     def test_drop_mod_p_only_for_unsaturated(self):
         A = [[2, 4]]
@@ -229,7 +228,7 @@ class TestKernel:
         M = imat([[1, 2, 3], [0, 1, 1]])
         K = kernel(QQ, M)
         for row in K.basis:
-            assert all(v == 0 for v in (M @ np.array(row, dtype=object).reshape(3, 1)).flat)
+            assert all(v == 0 for (v,) in mat_mul(QQ, M, tuple((x,) for x in row)))
 
     def test_no_rows(self):
         assert kernel(GF(2), [], ncols=3).dim == 3
@@ -279,15 +278,9 @@ class TestMatMul:
     def test_reduces_mod_p(self):
         A = imat([[1, 1]])
         B = imat([[1], [1]])
-        assert mat_mul(GF(2), A, B).tolist() == [[0]]
-        assert mat_mul(QQ, A, B).tolist() == [[2]]
+        assert mat_mul(GF(2), A, B) == ((0,),)
+        assert mat_mul(QQ, A, B) == ((2,),)
 
     def test_empty_dimensions(self):
-        A = np.zeros((0, 2), dtype=object)
         B = imat([[1, 0], [0, 1]])
-        assert mat_mul(QQ, A, B).shape == (0, 2)
-        C = np.zeros((2, 0), dtype=object)
-        D = np.zeros((0, 3), dtype=object)
-        out = mat_mul(GF(3), C, D)
-        assert out.shape == (2, 3)
-        assert all(x == 0 for x in out.flat)
+        assert mat_mul(QQ, (), B) == ()
