@@ -34,8 +34,9 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .forms import _located_degree, _primitive, wedge_matrix, wedge_subsets
+from .forms import _located_degree, wedge_matrix, wedge_subsets
 from .linalg import (
+    _primitive,
     field_of_characteristic,
     mat_mul,
     rank,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
     QQ,
     SaturatedLattice,
@@ -59,13 +59,13 @@ def _dot(u, v):
 
 
 def _primitive(vec):
-    """Divide an integer vector by the gcd of its entries; zero is rejected."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g == 0:
+    """The primitive integer vector on the line of a ray; zero is rejected.
+
+    No ray is zero, so a zero vector here is a bug in the double description.
+    """
+    if not any(vec):
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in vec)
+    return linalg._primitive(vec)
 
 
 @dataclass(frozen=True)
@@ -165,15 +165,15 @@ class Cone:
     def lattice_points(self, bound):
         """All cone points in the box ``[-bound, bound]^n``, lexicographic.
 
-        One vectorised pass over the box: it is cut into slabs along the
-        first coordinate, and each slab of ``(2*bound+1)^(n-1)`` points goes
-        through :meth:`_classify` (``points @ normals.T``), so the whole
-        grid is never held at once.  Slabs in increasing first coordinate,
-        each in lexicographic order, give the lexicographic order of the
-        box.  The same pass records the facet bitmask of every point found
-        (see :meth:`facet_masks`).  Arithmetic is exact: ``int64`` while
-        ``max_u sum|u_i| * bound`` stays below ``2**62``, Python integers
-        (``dtype=object``) otherwise.
+        One vectorised pass over the box (:meth:`_scan`): it is cut into
+        slabs along the first coordinate, and each slab of
+        ``(2*bound+1)^(n-1)`` points is classified by one product
+        ``points @ normals.T``, so the whole grid is never held at once.
+        Slabs in increasing first coordinate, each in lexicographic order,
+        give the lexicographic order of the box.  The same pass records the
+        facet bitmask of every point found (see :meth:`facet_masks`).
+        Arithmetic is exact: ``int64`` while ``max_u sum|u_i| * bound``
+        stays below ``2**62``, Python integers (``dtype=object``) otherwise.
 
         The origin is always included.  Results are cached per bound.  A box
         of more than ``_MAX_BOX_POINTS`` points is refused before the scan.
@@ -211,47 +211,42 @@ class Cone:
 
     def _point_mask(self, v):
         """Facet bitmask of one point, or None when it lies outside the cone."""
-        inside, masks = self._classify(np.array([v], dtype=object), max(map(abs, v)))
-        return masks[0] if inside[0] else None
+        mask = 0
+        for i, u in enumerate(self.dual.rays):
+            value = _dot(u, v)
+            if value < 0:
+                return None
+            if not value:
+                mask |= 1 << i
+        return mask
 
     def _scan(self, bound):
+        """``(points, masks)`` of :meth:`lattice_points`, the only numpy code.
+
+        The normals matrix and the bit weights are built once per scan.  The
+        bit weights are ``int64`` below 63 facets and Python integers from
+        there on.
+        """
         n = self.ambient_rank
+        normals = self.dual.rays
+        width = max((sum(map(abs, u)) for u in normals), default=0)
+        dtype = np.int64 if max(width, 1) * max(bound, 1) < 2**62 else object
+        normals_t = np.array(normals, dtype=dtype).reshape(-1, n).T
+        k = len(normals)
+        weights = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
         coords = range(-bound, bound + 1)
         rest = list(itertools.product(coords, repeat=n - 1))
-        slab = np.empty((len(rest), n), dtype=np.int64)
-        slab[:, 1:] = np.array(rest, dtype=np.int64).reshape(len(rest), n - 1)
+        slab = np.empty((len(rest), n), dtype=dtype)
+        slab[:, 1:] = np.array(rest, dtype=dtype).reshape(len(rest), n - 1)
         points = []
         masks = []
         for first in coords:
             slab[:, 0] = first
-            inside, got = self._classify(slab, bound)
+            vals = slab @ normals_t
+            inside = (vals >= 0).all(axis=1)
             points.extend((first,) + rest[j] for j in np.flatnonzero(inside).tolist())
-            masks.extend(got)
+            masks.extend(((vals[inside] == 0).astype(weights.dtype) @ weights).tolist())
         return tuple(points), tuple(masks)
-
-    def _classify(self, points, top):
-        """The classification kernel: membership and facet bitmasks of rows.
-
-        ``points`` is an integer array with entries bounded by ``top`` in
-        absolute value.  Returns a boolean array (row inside the cone) and
-        the bitmasks of the rows inside, as Python ints.
-        """
-        kernel = self.__dict__.get("_kernel")
-        if kernel is None:
-            exact = np.array(self.dual.rays, dtype=object).reshape(-1, self.ambient_rank)
-            width = max((sum(map(abs, u)) for u in self.dual.rays), default=0)
-            k = exact.shape[0]
-            weights = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
-            kernel = (exact, exact.astype(np.int64) if width < 2**62 else None, width, weights)
-            self.__dict__["_kernel"] = kernel
-        exact, fast, width, weights = kernel
-        if max(width, 1) * max(top, 1) < 2**62:
-            vals = points.astype(np.int64, copy=False) @ fast.T
-        else:
-            vals = points.astype(object, copy=False) @ exact.T
-        inside = (vals >= 0).all(axis=1)
-        masks = (vals[inside] == 0).astype(weights.dtype) @ weights
-        return inside, masks.tolist()
 
     def __eq__(self, other):
         return (
@@ -344,10 +339,7 @@ def _pointed_double_description(ineq_rows, r):
     # the base rows B cut out a simplicial cone spanned by the columns of B^-1,
     # and [B | I] reduces to [I | B^-1]
     augmented = [list(ineq_rows[i]) + [int(j == k) for k in range(r)] for j, i in enumerate(base)]
-    rays = []
-    for column in zip(*(row[r:] for row in subspace(QQ, augmented).basis)):
-        mult = lcm(*(f.denominator for f in column))
-        rays.append(_primitive(tuple(int(f * mult) for f in column)))
+    rays = [_primitive(column) for column in zip(*(row[r:] for row in subspace(QQ, augmented).basis))]
     processed = [ineq_rows[i] for i in base]
     tight = {v: sum(1 << k for k, b in enumerate(processed) if _dot(b, v) == 0) for v in rays}
     for i, row in enumerate(ineq_rows):

@@ -8,10 +8,11 @@ k^n: the intersection of the spans of the codimension-one faces through m,
 reduced to the coefficient field.  An interior m sees no face and gets the
 whole of k^n.
 
-Everything here takes the cone on the exponent side.  Subspaces attached to
-faces and face intersections are cached, so scanning a large box of degrees
-touches each distinct face set once per characteristic.  Both caches are
-bounded, so a long-lived process does not grow with every cone it sees.
+Everything here takes the cone on the exponent side.  V_m is cached per set
+of faces, so scanning a large box of degrees builds each distinct face set
+once per characteristic; a face subspace is rebuilt only on a miss of that
+cache.  The cache is bounded, so a long-lived process does not grow with
+every cone it sees.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb
 
 from .linalg import (
     Subspace,
+    _primitive,
     field_of_characteristic,
     full_space,
     intersect,
@@ -85,13 +87,12 @@ def wedge_matrix(field, w, a):
     return tuple(map(tuple, D))
 
 
-# Entries held by each V_m cache.  A box touches one entry per distinct face
+# Entries held by the V_m cache.  A box touches one entry per distinct face
 # set, so this is far above any table's working set; it only stops a long
 # process that visits many cones from growing without limit.
 _VM_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_VM_CACHE_SIZE)
 def facet_subspace(facet, char):
     """Subspace of k^n spanned by one codimension-one face.
 
@@ -159,19 +160,6 @@ class GradedPiece:
 
 def graded_piece(cone, m, char):
     return GradedPiece(tuple(int(x) for x in m), char, degree_subspace(cone, m, char))
-
-
-def _primitive(row):
-    """The primitive integer vector on the line of a rational vector.
-
-    The scale factor is positive, so signs are kept; the zero vector stays
-    zero.
-    """
-    fracs = [Fraction(x) for x in row]
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (mult // f.denominator) for f in fracs]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
 
 
 def integer_lifts(sub):

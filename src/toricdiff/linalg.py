@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "imat",
@@ -86,6 +86,20 @@ def zero_matrix(nrows, ncols):
 def _transpose(M, width):
     """Columns of M as rows; ``width`` is the column count when M has no rows."""
     return tuple(zip(*M)) if M else ((),) * width
+
+
+def _primitive(row):
+    """The primitive integer vector on the line of a vector of ints or Fractions.
+
+    The scale factor is positive, so signs are kept; the zero vector stays
+    zero.  An all-int row skips the ``Fraction`` round trip.
+    """
+    if not all(isinstance(x, int) for x in row):
+        fracs = [Fraction(x) for x in row]
+        mult = lcm(*(f.denominator for f in fracs))
+        row = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*row) or 1
+    return tuple(x // g for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +307,13 @@ class PrimeField:
         return hash(("GF", self.p))
 
 
-@lru_cache(maxsize=None)
+# Fields held by the ``GF`` cache.  Fields compare by value, so an evicted
+# modulus only costs a rebuild; the bound keeps a process that visits many
+# primes from growing without limit.
+_FIELD_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def GF(p):
     return PrimeField(p)
 
@@ -448,14 +468,6 @@ def _rank_bareiss(rows):
     return r
 
 
-def _clear_denominators(row):
-    if all(isinstance(x, int) for x in row):
-        return list(row)
-    fracs = [Fraction(x) for x in row]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * mult) for f in fracs]
-
-
 def _rank_modp(rows, p):
     rows = [[int(x) % p for x in r] for r in rows]
     m = len(rows)
@@ -486,7 +498,7 @@ def rank(field, M):
     if not rows or not rows[0]:
         return 0
     if field.characteristic == 0:
-        return _rank_bareiss([_clear_denominators(r) for r in rows])
+        return _rank_bareiss([_primitive(r) for r in rows])
     return _rank_modp(rows, field.characteristic)
 
 

@@ -19,7 +19,7 @@ from toricdiff.complexes import (
     oracle_full_complex,
     poincare_check,
 )
-from toricdiff.forms import degree_subspace, facet_subspace, wedge_matrix
+from toricdiff.forms import degree_subspace, wedge_matrix
 from toricdiff.linalg import QQ, rank
 
 
@@ -145,14 +145,12 @@ class TestCohomologyTable:
             assert h == cohomology(degree_complex(cone, m, 3)), m
 
     def test_bounded_vm_caches_survive_eviction(self, corpus, monkeypatch):
-        assert facet_subspace.cache_info().maxsize is not None
         assert forms._facet_intersection.cache_info().maxsize is not None
         cone = corpus["square-3d"]
         warm = {char: cohomology_table(cone, 2, char) for char in (0, 3)}
         real = complexes._located_degree
 
         def evicting(*args):
-            facet_subspace.cache_clear()
             forms._facet_intersection.cache_clear()
             return real(*args)
 

@@ -162,6 +162,7 @@ class TestScanMatchesDefinition:
     @example(Cone([(1, 1)], ambient_rank=2), 2)  # not full dimensional
     @example(Cone([(1, 0), (0, 1)]), 0)
     @example(HUGE, 3)
+    @example(Cone([(i, i * i, 1) for i in range(-32, 32)]), 1)  # 64 facets: masks need bit 63
     def test_points_and_masks(self, cone, bound):
         normals = cone.dual.rays
         box = itertools.product(range(-bound, bound + 1), repeat=cone.ambient_rank)

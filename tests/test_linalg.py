@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from toricdiff.linalg import (
+    _FIELD_CACHE_SIZE,
     GF,
     QQ,
+    PrimeField,
     Subspace,
     full_space,
     hnf,
@@ -148,6 +150,14 @@ class TestFields:
             GF(2**31 + 11)
         with pytest.raises(ZeroDivisionError):
             GF(5).inv(0)
+
+    def test_field_cache_is_bounded(self):
+        primes = [p for p in range(2, 10**4) if is_prime(p)][: 2 * _FIELD_CACHE_SIZE]
+        for p in primes:
+            GF(p)
+        assert GF.cache_info().currsize <= _FIELD_CACHE_SIZE
+        # fields compare by value, so an evicted modulus rebuilds an equal field
+        assert all(GF(p) == PrimeField(p) for p in primes)
 
     def test_is_prime_small(self):
         primes = [p for p in range(60) if is_prime(p)]

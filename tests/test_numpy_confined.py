@@ -1,16 +1,17 @@
-"""numpy has one job in the package: the int64 box scan in ``cones``.
+"""numpy has one job in the package: the int64 box scan, ``Cone._scan``.
 
-Every exact matrix is a tuple of row tuples, so no other module needs numpy.
-This test parses the sources and fails when numpy spreads again: when a
-module other than ``cones`` imports it, when ``cones`` imports it anywhere but
-at module level, or when a method other than the scan kernel uses it.
+Every exact matrix is a tuple of row tuples, and a single point is
+classified by a plain dot product loop, so nothing else needs numpy.  This
+test parses the sources and fails when numpy spreads again: when a module
+other than ``cones`` imports it, when ``cones`` imports it anywhere but at
+module level, or when a function other than ``_scan`` uses it.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricdiff"
-SCAN_KERNEL = {"_scan", "_classify", "_point_mask"}
+SCAN_KERNEL = {"_scan"}
 
 
 def numpy_imports(tree):

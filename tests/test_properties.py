@@ -9,15 +9,19 @@ the whole pipeline without any trusted reference values.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.structural import run_structural_suite
+from toricdiff import cones
 from toricdiff.linalg import (
     GF,
     QQ,
     Subspace,
+    _primitive,
     hnf,
     imat,
     intersect,
@@ -59,6 +63,28 @@ def det_q(M):
     for i in range(n):
         out *= M[i][i]
     return out
+
+
+class TestPrimitive:
+    @given(st.lists(st.one_of(entries, st.fractions(max_denominator=12)), max_size=5))
+    @example([])
+    @example([0, Fraction(0), 0])
+    @settings(deadline=None)
+    def test_primitive_vector_on_the_line(self, vec):
+        out = _primitive(vec)
+        assert isinstance(out, tuple) and all(type(x) is int for x in out)
+        if any(vec):
+            assert gcd(*out) == 1
+            i = next(i for i, x in enumerate(vec) if x)
+            c = out[i] / Fraction(vec[i])
+            assert c > 0 and tuple(c * x for x in vec) == out
+        else:
+            assert out == (0,) * len(vec)
+        assert _primitive(out) == out
+
+    def test_rays_refuse_zero(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            cones._primitive((0, 0, 0))
 
 
 class TestHermiteProperties:
