@@ -29,7 +29,6 @@ sorted, hashes are over the CSV bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from math import comb
@@ -175,6 +174,10 @@ class CohomologyTable:
 
     def table_hash(self):
         """sha256 of :meth:`to_csv`, fed line by line so the text is never built."""
+        # hashlib loads OpenSSL's libcrypto, about 3.5 MB of peak RSS that
+        # commands which never hash a table should not pay.
+        import hashlib
+
         digest = hashlib.sha256()
         for line in self._csv_lines():
             digest.update(line.encode())

@@ -204,7 +204,13 @@ class Cone:
         return self.__dict__["_scans"][bound][1]
 
     def _point(self, point):
-        v = tuple(int(x) for x in point)
+        v = []
+        for x in point:
+            n = int(x)
+            if n != x:
+                raise ValueError(f"point entries must be integers, got {x!r}")
+            v.append(n)
+        v = tuple(v)
         if len(v) != self.ambient_rank:
             raise ValueError("point length does not match the ambient rank")
         return v

@@ -26,7 +26,6 @@ from math import comb
 
 from .linalg import (
     Subspace,
-    _primitive,
     field_of_characteristic,
     full_space,
     intersect,
@@ -39,7 +38,6 @@ __all__ = [
     "GradedPiece",
     "graded_piece",
     "wedge_subsets",
-    "integer_lifts",
     "FormTerm",
     "FormExpression",
     "to_form",
@@ -110,8 +108,8 @@ def degree_subspace(cone, m, char):
     could come out too small mod p).  The vector m itself always lies in
     V_m, and that is asserted on every call.
     """
-    m = tuple(int(x) for x in m)
-    return _located_degree(cone.facets_containing(m), m, char)[0]
+    facets = cone.facets_containing(m)
+    return _located_degree(facets, tuple(int(x) for x in m), char)[0]
 
 
 def _located_degree(facets, m, char):
@@ -160,18 +158,6 @@ class GradedPiece:
 
 def graded_piece(cone, m, char):
     return GradedPiece(tuple(int(x) for x in m), char, degree_subspace(cone, m, char))
-
-
-def integer_lifts(sub):
-    """One integer vector over each basis row of a subspace.
-
-    Residues lift to their representatives in ``[0, p)``, so each lift
-    reduces back to its row mod p.  Rational rows are scaled to primitive
-    integer vectors on the same line.
-    """
-    if sub.field.characteristic:
-        return tuple(tuple(int(x) for x in row) for row in sub.basis)
-    return tuple(_primitive(row) for row in sub.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ class TestMembership:
         with pytest.raises(ValueError):
             Cone([(1, 0), (0, 1)]).contains((1, 0, 0))
 
+    def test_points_off_the_lattice_are_refused(self):
+        # int() would read these as (0, 0) and (0, 2)
+        orthant = Cone([(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="0.5"):
+            orthant.contains((0.5, -0.9))
+        with pytest.raises(ValueError, match="0.7"):
+            orthant.facets_containing((0.7, 2))
+        assert orthant.contains((1.0, 2)) and orthant.facets_containing((0.0, 2))
+
 
 class TestFacets:
     def test_orthant_has_n_facets(self):

@@ -11,7 +11,6 @@ from toricdiff.forms import (
     degree_subspace,
     facet_subspace,
     graded_piece,
-    integer_lifts,
     to_form,
     wedge_matrix,
     wedge_subsets,
@@ -65,6 +64,8 @@ class TestDegreeSubspace:
     def test_outside_cone_rejected(self, quadric):
         with pytest.raises(NotInConeError):
             degree_subspace(quadric, (0, 1), 0)
+        with pytest.raises(ValueError, match="0.5"):
+            degree_subspace(quadric, (1, 0.5), 0)
 
     def test_scale_invariance(self, quadric):
         for m in ((1, 0), (1, 2), (1, 1), (0, 0)):
@@ -137,17 +138,6 @@ class TestWedgeMatrix:
                     assert all(type(x) is int for row in D for x in row)
                 if kind == "gf5":
                     assert all(0 <= x < 5 for row in D for x in row)
-
-
-class TestIntegerLifts:
-    def test_prime_field_rows_lift_verbatim(self, quadric):
-        S = degree_subspace(quadric, (0, 0), 2)
-        assert integer_lifts(S) == ((1, 0),)
-
-    def test_rational_rows_clear_denominators(self):
-        S = subspace(QQ, [(2, 0, 1)])
-        assert S.basis == ((Fraction(1), Fraction(0), Fraction(1, 2)),)
-        assert integer_lifts(S) == ((2, 0, 1),)
 
 
 class TestForms:
