@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 # Every command builds a cone, so cones and linalg load here.  Each handler
@@ -24,6 +25,12 @@ import sys
 # and its numpy: compiled from source (with no bytecode cache) after numpy
 # has loaded, it adds about 1.3 MB to the peak RSS of every request.
 from .linalg import GF
+
+# numpy runs only the integer box scan, which never calls BLAS, but OpenBLAS
+# starts a thread per core when numpy loads.  The CLI owns its process, so it
+# asks for one thread before cones imports numpy; a value the user set stays.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cones import Cone
 
 __all__ = ["main", "ConeSpecError", "load_cone_spec", "exponent_cone"]

@@ -33,6 +33,16 @@ import json
 from dataclasses import dataclass
 from math import comb
 
+# The interpreter's built-in sha256 gives the same digest as OpenSSL's, and
+# importing it does not load libcrypto, about 3.5 MB of peak RSS.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .forms import _located_degree, wedge_matrix, wedge_subsets
 from .linalg import (
     _primitive,
@@ -174,11 +184,7 @@ class CohomologyTable:
 
     def table_hash(self):
         """sha256 of :meth:`to_csv`, fed line by line so the text is never built."""
-        # hashlib loads OpenSSL's libcrypto, about 3.5 MB of peak RSS that
-        # commands which never hash a table should not pay.
-        import hashlib
-
-        digest = hashlib.sha256()
+        digest = sha256()
         for line in self._csv_lines():
             digest.update(line.encode())
         return digest.hexdigest()

@@ -2,10 +2,13 @@
 resolve on first use.
 
 Every request runs in a fresh process, so whatever a command imports but
-never calls is paid on every request: ``hashlib`` alone loads OpenSSL's
-libcrypto, about 3.5 MB of peak RSS.  Each command case below runs in its
+never calls is paid on every request.  Each command case below runs in its
 own interpreter and records ``sys.modules`` just before ``toricdiff.cli`` is
-imported, so the modules that interpreter start-up loads are left out.
+imported, so the modules that interpreter start-up loads are left out.  No
+command loads ``hashlib``: it brings in OpenSSL's libcrypto, about 3.5 MB of
+peak RSS, and tables are hashed with the interpreter's built-in sha256.
+Importing ``toricdiff.cli`` also keeps numpy's OpenBLAS from starting a
+thread pool that the box scan never uses.
 """
 
 import json
@@ -22,8 +25,10 @@ SRC = CONE_DIR.parent / "src"
 QUADRIC = str(CONE_DIR / "a1-quadric.json")
 SQUARE = str(CONE_DIR / "square-3d.json")
 
-BEYOND_CONES = {"toricdiff.cartier", "toricdiff.complexes", "toricdiff.forms", "hashlib"}
-BEYOND_TABLES = {"toricdiff.cartier", "hashlib"}
+PROGRAM = {"toricdiff.cartier", "toricdiff.complexes", "toricdiff.forms"}
+OPENSSL = {"hashlib", "_hashlib"}
+BEYOND_CONES = PROGRAM | OPENSSL
+BEYOND_TABLES = {"toricdiff.cartier"} | OPENSSL
 
 PROBE = """
 import json, sys
@@ -35,9 +40,12 @@ sys.exit(code)
 """
 
 
-def run_fresh(code, *argv):
-    """stdout of ``code`` run in a fresh interpreter; fails on a nonzero exit."""
-    env = dict(os.environ)
+def run_fresh(code, *argv, env=None):
+    """stdout of ``code`` run in a fresh interpreter; fails on a nonzero exit.
+
+    ``env``, when given, replaces this process's environment in the child.
+    """
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
@@ -58,6 +66,8 @@ def added_modules(*argv):
         pytest.param(("vm", QUADRIC, "--degree", "1,0"), BEYOND_TABLES, id="vm"),
         pytest.param(("cohomology", QUADRIC, "--p", "2", "--bound", "2"), BEYOND_TABLES, id="cohomology"),
         pytest.param(("oracle", SQUARE, "--p", "0", "--bound", "2"), BEYOND_TABLES, id="oracle"),
+        pytest.param(("poincare", QUADRIC, "--bound", "2"), BEYOND_TABLES, id="poincare"),
+        pytest.param(("cartier", QUADRIC, "--p", "2", "--bound", "1"), OPENSSL, id="cartier"),
     ],
 )
 def test_command_loads_only_what_it_runs(argv, absent):
@@ -68,7 +78,27 @@ def test_command_loads_only_what_it_runs(argv, absent):
 
 def test_cartier_loads_everything():
     """The control: the probe sees every module a command does load."""
-    assert BEYOND_CONES <= added_modules("cartier", QUADRIC, "--p", "2", "--bound", "1")
+    assert PROGRAM <= added_modules("cartier", QUADRIC, "--p", "2", "--bound", "1")
+
+
+THREADS = """
+import os
+import toricdiff.cli
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="counts threads in /proc/self/task; a BLAS pool needs two cores",
+)
+def test_cli_import_starts_no_blas_threads():
+    # An in-process import of toricdiff.cli sets the variable in this
+    # process, so the child's environment drops it explicitly.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert run_fresh(THREADS, env=env).split() == ["1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert run_fresh(THREADS, env=env).split()[1] == "2"
 
 
 def test_package_import_loads_no_module():
