@@ -33,7 +33,6 @@ _EXPORTS = {
         "kernel",
         "left_kernel",
         "rank",
-        "reduce_mod_p",
         "saturate",
         "subspace",
         "sum_spaces",
@@ -41,10 +40,8 @@ _EXPORTS = {
     "forms": (
         "FormExpression",
         "FormTerm",
-        "GradedPiece",
         "degree_subspace",
         "facet_subspace",
-        "graded_piece",
         "to_form",
         "wedge_subsets",
     ),
@@ -64,8 +61,6 @@ _EXPORTS = {
         "CheckResult",
         "LevelSummary",
         "PhiMap",
-        "check_chain_map",
-        "check_split",
         "inverse_cartier_generator_check",
         "phi",
         "verify_isomorphism",

@@ -28,23 +28,13 @@ from dataclasses import asdict, dataclass
 from math import comb
 
 from .complexes import cohomology_table, degree_complex
-from .forms import (
-    FormExpression,
-    FormTerm,
-    _located_degree,
-    degree_subspace,
-    to_form,
-    wedge_matrix,
-    wedge_subsets,
-)
+from .forms import _located_degree, degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import GF, identity_matrix, mat_mul, rank, zero_matrix
 
 __all__ = [
     "PhiMap",
     "phi",
     "CheckResult",
-    "check_chain_map",
-    "check_split",
     "inverse_cartier_generator_check",
     "LevelSummary",
     "CartierReport",
@@ -178,55 +168,17 @@ def _typed_sources(cone, bound, p):
         yield m, sub, got
 
 
-def _not_closed(m, a):
-    return f"degree {m}, a={a}: shift image is not closed"
-
-
-def _not_split(m, a):
-    return f"degree {m}, a={a}: projection composed with the shift is not the identity"
-
-
-def _single_check(cone, bound, p, name, index, message):
-    """Report ``message(m, a)`` wherever entry ``index`` of the outcome is false."""
-    violations = []
-    checked = 0
-    for m, _, outcome in _typed_sources(cone, bound, p):
-        violations.extend(message(m, a) for a, got in enumerate(outcome) if not got[index])
-        checked += 1
-    return CheckResult(name, checked, tuple(violations))
-
-
-def check_chain_map(cone, bound, p):
-    """Compatibility with the differentials, degree by degree.
-
-    The composite of the shift with the target differential must vanish.
-    The target sits in degree pm, where the differential is wedging with pm
-    in V_pm, and pm is zero in V_pm over GF(p).  So the target differential
-    is the zero matrix and a wrong shift matrix cannot fail this check; what
-    it can catch is a wrong complex at pm, as in the perturbed-differential
-    negative control.  The matrices are multiplied out, once per degree type.
-    """
-    return _single_check(cone, bound, p, "chain map", 0, _not_closed)
-
-
-def check_split(cone, bound, p):
-    """Projection onto the p-divisible degrees splits the shift.
-
-    In degree pm the projection acts as the identity, so the composite is
-    the shift matrix itself, compared entry by entry with the identity.
-    """
-    return _single_check(cone, bound, p, "splitting", 1, _not_split)
-
-
 def inverse_cartier_generator_check(cone, bound, p):
     """On generators the inverse map reads ``dx^m -> x^((p-1)m) dx^m``.
 
-    Checked through the printable form layer: the shift of the one-form
-    ``dx^m`` sits in degree pm, and writing it as a form must factor the
-    monomial ``x^((p-1)m)`` out in front of ``dx^m``, with matching wedge
-    coordinates on both sides.  The faces through m and through pm are read
-    from the scans of the two boxes, each on its own, so a shift that moved
-    V_m would still show.
+    The cone enters the identity only through the wedge coordinates of m:
+    m in V_m, located from the faces through m, must have the same
+    coordinates as m in V_pm, so that ``dx^m`` and the ``dx^m`` factor of
+    the shifted form are one basis element.  The faces through m and
+    through pm are read from the scans of the two boxes, each on its own,
+    so a shift that moved V_m would still show.  The monomial part,
+    ``x^(pm - m) = x^((p-1)m)``, holds for any integer m and any p; it is a
+    property of the printer, tested with it.
     """
     violations = []
     checked = 0
@@ -239,16 +191,6 @@ def inverse_cartier_generator_check(cone, bound, p):
         sub_pm = _located_degree(cone._facets_of(target[pm]), pm, p)[0]
         if w != sub_pm.coordinates_of(m):
             violations.append(f"degree {m}: wedge coordinates drift under the shift")
-        shifted = to_form(pm, [(1, (m,))])
-        expected = FormExpression(
-            (FormTerm(1, tuple((p - 1) * x for x in m), (m,)),)
-        )
-        if shifted != expected or str(shifted) != str(expected):
-            violations.append(
-                f"degree {m}: shift of dx^{m} prints as {shifted}, expected {expected}"
-            )
-        if FormExpression.parse(str(shifted)) != shifted:
-            violations.append(f"degree {m}: form does not survive a parse round trip")
         checked += 1
     return CheckResult("generator identity", checked, tuple(violations))
 
@@ -341,6 +283,12 @@ def verify_isomorphism(cone, bound, p):
     composite with the projection is the identity, and the induced map
     into cohomology at pm is bijective (injective by rank, surjective by
     dimension count against the table).
+
+    The chain-map flag cannot fail on a wrong shift matrix.  The target
+    differential at pm is wedging with pm in V_pm, and pm is zero in V_pm
+    over GF(p), so that differential is the zero matrix whatever the shift
+    is; what the flag can catch is a wrong complex at pm.  A wrong shift
+    shows in the splitting flag instead.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -367,10 +315,12 @@ def verify_isomorphism(cone, bound, p):
             lv.cohomology_dim_total += hs[a]
             if not closed:
                 lv.chain_map_ok = False
-                violations.append(_not_closed(m, a))
+                violations.append(f"degree {m}, a={a}: shift image is not closed")
             if not split:
                 lv.split_ok = False
-                violations.append(_not_split(m, a))
+                violations.append(
+                    f"degree {m}, a={a}: projection composed with the shift is not the identity"
+                )
             if induced != src_dim or hs[a] != src_dim:
                 lv.isomorphism_ok = False
                 violations.append(

@@ -18,25 +18,14 @@ every cone it sees.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
-from .linalg import (
-    Subspace,
-    field_of_characteristic,
-    full_space,
-    intersect,
-    lattice_subspace,
-)
+from .linalg import field_of_characteristic, full_space, intersect, lattice_subspace
 
 __all__ = [
     "facet_subspace",
     "degree_subspace",
-    "GradedPiece",
-    "graded_piece",
     "wedge_subsets",
     "FormTerm",
     "FormExpression",
@@ -136,48 +125,12 @@ def _facet_intersection(facets, n, char):
     return out
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    """Degree-m slice of the graded module of forms, all wedge degrees at once.
-
-    ``dim(a)`` is the dimension of the degree-m piece of the a-forms and
-    ``wedge_basis(a)`` indexes its standard basis by subsets of the reduced
-    basis of ``subspace``.
-    """
-
-    degree: tuple
-    characteristic: int
-    subspace: Subspace
-
-    def dim(self, a):
-        return comb(self.subspace.dim, a)
-
-    def wedge_basis(self, a):
-        return wedge_subsets(self.subspace.dim, a)
-
-
-def graded_piece(cone, m, char):
-    return GradedPiece(tuple(int(x) for x in m), char, degree_subspace(cone, m, char))
-
-
 # ---------------------------------------------------------------------------
 # printable differential forms
-
-_VEC = r"\(-?\d+(?:,-?\d+)*\)"
-_TERM_RE = re.compile(
-    rf"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?"
-    rf"x\^(?P<exp>{_VEC})"
-    rf"(?: (?P<dxs>dx\^{_VEC}(?:∧dx\^{_VEC})*))?$"
-)
-_DX_RE = re.compile(rf"dx\^({_VEC})")
 
 
 def _vec_str(v):
     return "(" + ",".join(str(int(x)) for x in v) + ")"
-
-
-def _parse_vec(s):
-    return tuple(int(t) for t in s.strip("()").split(","))
 
 
 @dataclass(frozen=True)
@@ -200,11 +153,10 @@ class FormTerm:
 class FormExpression:
     """Sum of monomial forms with a stable string syntax.
 
-    >>> e = FormExpression.parse("x^(2,0) dx^(1,0)∧dx^(0,1)")
-    >>> str(e)
+    >>> str(FormExpression((FormTerm(1, (2, 0), ((1, 0), (0, 1))),)))
     'x^(2,0) dx^(1,0)∧dx^(0,1)'
-    >>> FormExpression.parse(str(e)) == e
-    True
+    >>> str(FormExpression(()))
+    '0'
     """
 
     terms: tuple
@@ -213,29 +165,6 @@ class FormExpression:
         if not self.terms:
             return "0"
         return " + ".join(str(t) for t in self.terms)
-
-    @classmethod
-    def parse(cls, text):
-        text = text.strip()
-        if text == "0":
-            return cls(())
-        terms = []
-        for part in text.split(" + "):
-            match = _TERM_RE.match(part)
-            if match is None:
-                raise ValueError(f"cannot parse form term: {part!r}")
-            raw = match.group("coeff")
-            if raw is None:
-                coeff = 1
-            elif "/" in raw:
-                coeff = Fraction(raw)
-            else:
-                coeff = int(raw)
-            exponent = _parse_vec(match.group("exp"))
-            dxs = match.group("dxs")
-            factors = tuple(_parse_vec(v) for v in _DX_RE.findall(dxs)) if dxs else ()
-            terms.append(FormTerm(coeff, exponent, factors))
-        return cls(tuple(terms))
 
 
 def to_form(m, terms):

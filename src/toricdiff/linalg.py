@@ -39,7 +39,6 @@ __all__ = [
     "kernel",
     "intersect",
     "sum_spaces",
-    "reduce_mod_p",
     "lattice_subspace",
     "mat_mul",
     "sparse_rank",
@@ -560,24 +559,17 @@ def sum_spaces(S, T):
     return subspace(S.field, list(S.basis) + list(T.basis), S.ambient_dim)
 
 
-def reduce_mod_p(L, p):
-    """Reduction of a saturated lattice to a subspace of GF(p)^n.
+def lattice_subspace(L, field):
+    """The span of a saturated lattice over ``field``.
 
-    Saturation is exactly what keeps the rank from dropping mod p, and the
-    equality of dimensions is asserted here.
+    Over GF(p) this is the reduction of the lattice mod p.  Saturation is
+    exactly what keeps the rank from dropping there, and the equality of
+    dimensions is asserted for every field; over QQ it always holds.
     """
-    field = GF(p)
     S = subspace(field, L.basis, L.ambient_rank)
     if S.dim != L.rank:
         raise ArithmeticError("saturated lattice dropped rank mod p")
     return S
-
-
-def lattice_subspace(L, field):
-    """The span of a saturated lattice over ``field``."""
-    if field.characteristic == 0:
-        return subspace(field, L.basis, L.ambient_rank)
-    return reduce_mod_p(L, field.characteristic)
 
 
 # ---------------------------------------------------------------------------

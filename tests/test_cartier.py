@@ -9,8 +9,6 @@ import toricdiff.cartier as cartier
 from toricdiff.cartier import (
     CartierReport,
     PhiMap,
-    check_chain_map,
-    check_split,
     inverse_cartier_generator_check,
     phi,
     verify_isomorphism,
@@ -100,27 +98,23 @@ class TestWedgePowers:
 class TestChecks:
     @pytest.mark.parametrize("p", [2, 3])
     def test_chain_map(self, quadric, p):
-        result = check_chain_map(quadric, 2, p)
-        assert result.passed
-        assert result.checked == len(quadric.lattice_points(2))
+        report = verify_isomorphism(quadric, 2, p)
+        sources = len(quadric.lattice_points(2))
+        assert [lv.sources_checked for lv in report.levels] == [sources] * 3
+        assert all(lv.chain_map_ok for lv in report.levels)
+        assert report.passed
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_split(self, orthant, p):
-        result = check_split(orthant, 2, p)
-        assert result.passed
+        report = verify_isomorphism(orthant, 2, p)
+        assert all(lv.split_ok for lv in report.levels)
+        assert report.passed
 
     def test_generator_identity_text(self, quadric):
         result = inverse_cartier_generator_check(quadric, 2, 2)
         assert result.passed
         # the origin is skipped: d of a constant is zero
         assert result.checked == len(quadric.lattice_points(2)) - 1
-
-    def test_generator_identity_statement(self):
-        # the one-form dx^m shifts to x^((p-1)m) dx^m; spot check the string
-        from toricdiff.forms import to_form
-
-        assert str(to_form((2, 4), [(1, ((1, 2),))])) == "x^(1,2) dx^(1,2)"
-        assert str(to_form((3, 0), [(1, ((1, 0),))])) == "x^(2,0) dx^(1,0)"
 
 
 class TestVerifyIsomorphism:
@@ -230,19 +224,16 @@ class TestNegativeControls:
 
         monkeypatch.setattr(cartier, "phi", broken_phi)
         wording = "a=1: projection composed with the shift is not the identity"
-        split = check_split(orthant, self.BOUND, self.P)
-        assert not split.passed
-        assert split.violations == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
         report = verify_isomorphism(orthant, self.BOUND, self.P)
         assert not report.passed
         assert [lv.split_ok for lv in report.levels] == [True, False, True]
         assert report.violations == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
         assert CartierReport.from_json(report.to_json()) == report
-        # computed once per check, replayed for each of the nine degrees
-        assert len(calls) == 2
+        # computed in one pass, replayed for each of the nine degrees
+        assert len(calls) == 1
         # the chain-map condition cannot see the matrix: the differential at
         # a degree divisible by p is zero, so it needs its own control below
-        assert check_chain_map(orthant, self.BOUND, self.P).passed
+        assert [lv.chain_map_ok for lv in report.levels] == [True, True, True]
 
     def test_perturbed_target_differential_fails_chain_map(self, orthant, monkeypatch):
         def broken_complex(cone, m, char):
@@ -255,11 +246,6 @@ class TestNegativeControls:
             return got
 
         monkeypatch.setattr(cartier, "degree_complex", broken_complex)
-        chain = check_chain_map(orthant, self.BOUND, self.P)
-        assert not chain.passed
-        assert chain.violations == tuple(
-            f"degree {m}, a=0: shift image is not closed" for m in self.INTERIOR
-        )
         report = verify_isomorphism(orthant, self.BOUND, self.P)
         assert not report.passed
         assert [lv.chain_map_ok for lv in report.levels] == [False, True, True]

@@ -125,7 +125,15 @@ class TestLazyExports:
         assert namespace["Cone"] is toricdiff.cones.Cone
 
     def test_unknown_name(self):
-        with pytest.raises(AttributeError, match="integer_lifts"):
-            toricdiff.integer_lifts
+        for name in (
+            "integer_lifts",
+            "check_chain_map",
+            "check_split",
+            "GradedPiece",
+            "graded_piece",
+            "reduce_mod_p",
+        ):
+            with pytest.raises(AttributeError, match=name):
+                getattr(toricdiff, name)
         with pytest.raises(ImportError):
             exec("from toricdiff import no_such_name", {})

@@ -15,10 +15,10 @@ from toricdiff.linalg import (
     intersect,
     is_prime,
     kernel,
+    lattice_subspace,
     left_kernel,
     mat_mul,
     rank,
-    reduce_mod_p,
     saturate,
     sparse_rank,
     subspace,
@@ -118,7 +118,7 @@ class TestReduceModP:
         # the saturated span of (2,4) is (1,2), which survives reduction;
         # reducing the raw generator instead would collapse to zero
         L = saturate([[2, 4]])
-        S = reduce_mod_p(L, 2)
+        S = lattice_subspace(L, GF(2))
         assert S.dim == 1
         assert S.basis == ((1, 0),)
         naive = subspace(GF(2), [[2, 4]], 2)
@@ -127,7 +127,7 @@ class TestReduceModP:
     def test_dimension_preserved(self):
         L = saturate([[1, 2, 3], [0, 1, 7]])
         for p in (2, 3, 5, 7):
-            assert reduce_mod_p(L, p).dim == L.rank
+            assert lattice_subspace(L, GF(p)).dim == L.rank
 
 
 class TestFields:
@@ -265,8 +265,8 @@ class TestIntersect:
     def test_mod_p_reductions_can_meet_larger_than_lattices(self):
         # the lattices span{(1,0)} and span{(1,2)} meet only in 0, but both
         # reduce mod 2 to the same line; intersecting after reduction keeps it
-        A = reduce_mod_p(saturate([[1, 0]]), 2)
-        B = reduce_mod_p(saturate([[1, 2]]), 2)
+        A = lattice_subspace(saturate([[1, 0]]), GF(2))
+        B = lattice_subspace(saturate([[1, 2]]), GF(2))
         assert intersect(A, B).dim == 1
 
 

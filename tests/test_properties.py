@@ -26,10 +26,10 @@ from toricdiff.linalg import (
     imat,
     intersect,
     kernel,
+    lattice_subspace,
     left_kernel,
     mat_mul,
     rank,
-    reduce_mod_p,
     saturate,
     subspace,
     sum_spaces,
@@ -140,7 +140,7 @@ class TestSaturationProperties:
     @settings(deadline=None)
     def test_reduction_keeps_rank(self, rows, p):
         L = saturate(rows)
-        assert reduce_mod_p(L, p).dim == L.rank
+        assert lattice_subspace(L, GF(p)).dim == L.rank
 
     @given(int_matrix(), st.sampled_from([2, 3, 5]))
     @settings(deadline=None)
