@@ -11,7 +11,7 @@ a box of degrees; nothing is assumed from the statements being verified.
 
 The matrix work runs once per degree type and is replayed for every source
 degree of that type.  The type of a source degree m is its facet mask, the
-set of facets through m, read from the box classification of the cone.  For
+set of facets through m, read from the scan of the source box.  For
 p > 0, ``<u, pm> = p<u, m>``, so pm lies on exactly the facets through m,
 and every coordinate of pm is 0 mod p.  The mask therefore fixes V_m, V_pm
 and the complex at pm, which are all the shift matrices and the target
@@ -19,6 +19,10 @@ complex depend on.  The shift respects wedge products, so :func:`phi` takes
 V_m, V_pm and the change of basis between them once per type and builds
 every level as a wedge power of that one map.  Violations are still reported
 per source degree, and ``m in V_m`` is still asserted for each one.
+
+The target box is streamed once (:func:`_box_cohomology`).  Its table is
+hashed line by line, and only the cohomology at the p-divisible degrees,
+one per source degree, is kept.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 from dataclasses import asdict, dataclass
 from math import comb
 
-from .complexes import cohomology_table, degree_complex
+from .complexes import _box_cohomology, _csv_header, _csv_line, degree_complex, sha256
 from .forms import _located_degree, degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import GF, identity_matrix, mat_mul, rank, zero_matrix
 
@@ -160,7 +164,7 @@ def _typed_sources(cone, bound, p):
     there asserts ``m in V_m`` for every source degree.
     """
     memo = {}
-    for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
+    for m, mask in cone.scan(bound):
         sub = _located_degree(cone._facets_of(mask), m, p)[0]
         got = memo.get(mask)
         if got is None:
@@ -174,21 +178,20 @@ def inverse_cartier_generator_check(cone, bound, p):
     The cone enters the identity only through the wedge coordinates of m:
     m in V_m, located from the faces through m, must have the same
     coordinates as m in V_pm, so that ``dx^m`` and the ``dx^m`` factor of
-    the shifted form are one basis element.  The faces through m and
-    through pm are read from the scans of the two boxes, each on its own,
-    so a shift that moved V_m would still show.  The monomial part,
+    the shifted form are one basis element.  The faces through m come from
+    the scan of the source box and those through pm from classifying pm on
+    its own, so a shift that moved V_m would still show.  The monomial part,
     ``x^(pm - m) = x^((p-1)m)``, holds for any integer m and any p; it is a
     property of the printer, tested with it.
     """
     violations = []
     checked = 0
-    target = dict(zip(cone.lattice_points(p * bound), cone.facet_masks(p * bound)))
-    for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
+    for m, mask in cone.scan(bound):
         if not any(m):
             continue
         pm = tuple(p * x for x in m)
         w = _located_degree(cone._facets_of(mask), m, p)[1]
-        sub_pm = _located_degree(cone._facets_of(target[pm]), pm, p)[0]
+        sub_pm = _located_degree(cone._facets_of(cone._point_mask(pm)), pm, p)[0]
         if w != sub_pm.coordinates_of(m):
             violations.append(f"degree {m}: wedge coordinates drift under the shift")
         checked += 1
@@ -282,7 +285,7 @@ def verify_isomorphism(cone, bound, p):
     ``bound`` box and every level a, the shift lands on cocycles, its
     composite with the projection is the identity, and the induced map
     into cohomology at pm is bijective (injective by rank, surjective by
-    dimension count against the table).
+    dimension count against the cohomology at pm).
 
     The chain-map flag cannot fail on a wrong shift matrix.  The target
     differential at pm is wedging with pm in V_pm, and pm is zero in V_pm
@@ -294,19 +297,21 @@ def verify_isomorphism(cone, bound, p):
         raise ValueError("bound must be at least 1")
     GF(p)  # refuses a composite modulus before the scan
     n = cone.ambient_rank
-    table = cohomology_table(cone, p * bound, p)
+    digest = sha256(_csv_header(n).encode())
+    target_degrees = 0
+    shifted = {}  # cohomology at the degrees pm, one per source degree m
     violations = []
-    concentration_ok = True
-    for md in sorted(table.entries):
-        h = table.entries[md]
-        if any(x % p for x in md) and any(h):
-            concentration_ok = False
-            violations.append(
-                f"degree {md}: cohomology {h} away from the multiples of {p}"
-            )
+    for md, h in _box_cohomology(cone, p * bound, p):
+        digest.update(_csv_line(md, h).encode())
+        target_degrees += 1
+        if not any(x % p for x in md):
+            shifted[md] = h
+        elif any(h):
+            violations.append(f"degree {md}: cohomology {h} away from the multiples of {p}")
+    concentration_ok = not violations
     levels = tuple(LevelSummary(a, 0, True, True, True, 0, 0) for a in range(n + 1))
     for m, sub, outcome in _typed_sources(cone, bound, p):
-        hs = table.entries[tuple(p * x for x in m)]
+        hs = shifted[tuple(p * x for x in m)]
         for lv, (closed, split, induced) in zip(levels, outcome):
             a = lv.a
             src_dim = comb(sub.dim, a)
@@ -328,13 +333,6 @@ def verify_isomorphism(cone, bound, p):
                     f"cohomology dimension {hs[a]}"
                 )
     return CartierReport(
-        cone.rays,
-        p,
-        bound,
-        p * bound,
-        levels,
-        concentration_ok,
-        len(table.entries),
-        tuple(violations),
-        table.table_hash(),
+        cone.rays, p, bound, p * bound, levels, concentration_ok,
+        target_degrees, tuple(violations), digest.hexdigest(),
     )

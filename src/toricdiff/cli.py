@@ -233,16 +233,15 @@ def _cmd_cartier(args):
 
 
 def _cmd_oracle(args):
-    from .complexes import cohomology_table, oracle_full_complex
+    from .complexes import _box_cohomology, oracle_full_complex
 
     cone = _cone_from_args(args)
     if args.p:
         GF(args.p)
     totals = oracle_full_complex(cone, args.bound, args.p)
-    table = cohomology_table(cone, args.bound, args.p)
-    sums = tuple(
-        sum(h[a] for h in table.entries.values()) for a in range(cone.ambient_rank + 1)
-    )
+    sums = (0,) * (cone.ambient_rank + 1)
+    for _, h in _box_cohomology(cone, args.bound, args.p):
+        sums = tuple(map(sum, zip(sums, h)))
     agree = totals == sums
     if args.format == "json":
         _emit_json(

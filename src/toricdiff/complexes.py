@@ -14,17 +14,18 @@ factor to the primitive integer vector on their line, and the ranks and the
 d∘d check run on Python ints.  This is linear algebra about the complex,
 not the statement under test.
 
-Over GF(p) a table computes each degree type once.  The type of m is its
-facet bitmask from the box scan (:meth:`Cone.facet_masks`) together with
-m mod p.  This is sound by construction: V_m is the intersection of the
-face subspaces picked out by the mask, and the coordinates of m in V_m,
-which fix every differential, only see m mod p.  Over QQ the coordinates
-see all of m, so every degree is computed on its own.  Either way the table
-reads the faces through m from the mask and does not classify m again.
+Degrees stream by in lexicographic order (:func:`_box_cohomology`), and a
+check reads them in one pass, so no table of the box is held.  Over GF(p)
+each degree type is computed once.  The type of m is its facet bitmask from
+the box scan (:meth:`Cone.scan`) together with m mod p.  This is sound by
+construction: V_m is the intersection of the face subspaces picked out by
+the mask, and the coordinates of m in V_m, which fix every differential,
+only see m mod p.  Over QQ the coordinates see all of m, so every degree is
+computed on its own.  Either way m is not classified again.
 
 Tables and reports serialize to JSON (round-trips through ``from_json``)
 and to CSV with one row per degree.  Output is byte-stable: degrees are
-sorted, hashes are over the CSV bytes.
+sorted, hashes are over the CSV bytes, of a table or of the stream alike.
 """
 
 from __future__ import annotations
@@ -173,11 +174,9 @@ class CohomologyTable:
 
     def _csv_lines(self):
         degrees = self.degrees()
-        width = len(degrees[0])
-        levels = len(self.entries[degrees[0]])
-        yield ",".join([f"m{i + 1}" for i in range(width)] + [f"h{a}" for a in range(levels)]) + "\n"
+        yield _csv_header(len(degrees[0]))
         for m in degrees:
-            yield ",".join(str(x) for x in (*m, *self.entries[m])) + "\n"
+            yield _csv_line(m, self.entries[m])
 
     def to_csv(self):
         return "".join(self._csv_lines())
@@ -190,27 +189,30 @@ class CohomologyTable:
         return digest.hexdigest()
 
 
-def cohomology_table(cone, bound, char):
-    """Cohomology of every degree in the box, in box order.
+def _csv_line(m, h):
+    return ",".join(str(x) for x in (*m, *h)) + "\n"
 
-    Over GF(p) each degree type is computed once (see the module docstring).
-    """
+
+def _csv_header(n):
+    return _csv_line([f"m{i + 1}" for i in range(n)], [f"h{a}" for a in range(n + 1)])
+
+
+def cohomology_table(cone, bound, char):
+    """Cohomology of every degree in the box, gathered from :func:`_box_cohomology`."""
+    return CohomologyTable(cone.rays, char, bound, dict(_box_cohomology(cone, bound, char)))
+
+
+def _box_cohomology(cone, bound, char):
+    """``(m, h)`` for every degree of the box, lexicographic; a GF(p) type is computed once."""
     memo = {}
-    entries = {}
-    for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
-        if not char:
-            entries[m] = _scanned_cohomology(cone, m, mask, char)
-            continue
-        key = (mask, tuple(x % char for x in m))
+    for m, mask in cone.scan(bound):
+        key = (mask, tuple(x % char for x in m)) if char else None
         got = memo.get(key)
         if got is None:
-            got = memo[key] = _scanned_cohomology(cone, m, mask, char)
-        entries[m] = got
-    return CohomologyTable(cone.rays, char, bound, entries)
-
-
-def _scanned_cohomology(cone, m, mask, char):
-    return cohomology(_assemble(cone._facets_of(mask), m, char))
+            got = cohomology(_assemble(cone._facets_of(mask), m, char))
+            if char:
+                memo[key] = got
+        yield m, got
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +282,20 @@ def poincare_check(cone, bound):
         raise NoVertexError(
             "exponent cone contains a line; the exactness statement requires a vertex"
         )
-    table = cohomology_table(cone, bound, 0)
     n = cone.ambient_rank
-    origin = (0,) * n
-    point = tuple([1] + [0] * n)
+    point = (1,) + (0,) * n
     nothing = (0,) * (n + 1)
+    digest = sha256(_csv_header(n).encode())
+    checked = 0
     violations = []
-    for m in sorted(table.entries):
-        h = table.entries[m]
-        want = point if m == origin else nothing
+    for m, h in _box_cohomology(cone, bound, 0):
+        digest.update(_csv_line(m, h).encode())
+        checked += 1
+        want = nothing if any(m) else point
         if h != want:
             violations.append((m, h, want))
     return PoincareReport(
-        cone.rays,
-        bound,
-        len(table.entries),
-        not violations,
-        tuple(violations),
-        table.table_hash(),
+        cone.rays, bound, checked, not violations, tuple(violations), digest.hexdigest()
     )
 
 
@@ -317,7 +315,7 @@ def oracle_full_complex(cone, bound, char):
     field = field_of_characteristic(char)
     n = cone.ambient_rank
     data = []
-    for m, mask in zip(cone.lattice_points(bound), cone.facet_masks(bound)):
+    for m, mask in cone.scan(bound):
         sub, w = _located_degree(cone._facets_of(mask), m, char)
         data.append((sub.dim, w))
     offsets = []

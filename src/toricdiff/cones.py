@@ -14,7 +14,6 @@ monomials of the coordinate ring.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +38,10 @@ __all__ = [
 ]
 
 
-# Most points a box scan may visit.  The scan holds a slab of (2B+1)^(n-1)
-# points at a time and returns every point it keeps, so a larger box would
-# exhaust memory before it got slow; the largest box in the tests, demos and
-# benchmark is 41^3.
+# Most points a box scan may visit.  The scan streams the box one slab of
+# (2B+1)^(n-1) points at a time and keeps none of it, so memory does not
+# bound the box; time does.  At 10^7 points a 3-dimensional check runs for
+# minutes; the largest box in the tests, demos and benchmark is 41^3.
 _MAX_BOX_POINTS = 10**7
 
 
@@ -165,18 +164,28 @@ class Cone:
     def lattice_points(self, bound):
         """All cone points in the box ``[-bound, bound]^n``, lexicographic.
 
-        One vectorised pass over the box (:meth:`_scan`): it is cut into
-        slabs along the first coordinate, and each slab of
-        ``(2*bound+1)^(n-1)`` points is classified by one product
-        ``points @ normals.T``, so the whole grid is never held at once.
-        Slabs in increasing first coordinate, each in lexicographic order,
-        give the lexicographic order of the box.  The same pass records the
-        facet bitmask of every point found (see :meth:`facet_masks`).
-        Arithmetic is exact: ``int64`` while ``max_u sum|u_i| * bound``
-        stays below ``2**62``, Python integers (``dtype=object``) otherwise.
+        The points of :meth:`scan`, gathered into a tuple.  The origin is
+        always included.
+        """
+        return tuple(v for v, _ in self.scan(bound))
 
-        The origin is always included.  Results are cached per bound.  A box
-        of more than ``_MAX_BOX_POINTS`` points is refused before the scan.
+    def facet_masks(self, bound):
+        """Facet bitmasks of ``lattice_points(bound)``, in the same order.
+
+        Bit i of a mask is set when the point is orthogonal to the i-th
+        dual ray, so for a full dimensional cone the set bits are the
+        indices of :meth:`facets_containing`.
+        """
+        return tuple(mask for _, mask in self.scan(bound))
+
+    def scan(self, bound):
+        """Iterator of ``(point, facet mask)`` over the cone points of the box.
+
+        Points come in lexicographic order, masks as in :meth:`facet_masks`.
+        The box is streamed (see :meth:`_scan`) and nothing of it is kept,
+        so a caller that consumes the points one by one holds one slab of
+        the box at a time.  A box of more than ``_MAX_BOX_POINTS`` points is
+        refused here, before the scan starts.
         """
         if bound < 0:
             raise ValueError("bound must be nonnegative")
@@ -186,22 +195,7 @@ class Cone:
                 f"the box [-{bound}, {bound}]^{self.ambient_rank} has {size} points, "
                 f"more than the limit of {_MAX_BOX_POINTS}"
             )
-        cache = self.__dict__.setdefault("_scans", {})
-        got = cache.get(bound)
-        if got is None:
-            got = self._scan(bound)
-            cache[bound] = got
-        return got[0]
-
-    def facet_masks(self, bound):
-        """Facet bitmasks of ``lattice_points(bound)``, in the same order.
-
-        Bit i of a mask is set when the point is orthogonal to the i-th
-        dual ray, so for a full dimensional cone the set bits are the
-        indices of :meth:`facets_containing`.
-        """
-        self.lattice_points(bound)
-        return self.__dict__["_scans"][bound][1]
+        return self._scan(bound)
 
     def _point(self, point):
         v = []
@@ -227,11 +221,17 @@ class Cone:
         return mask
 
     def _scan(self, bound):
-        """``(points, masks)`` of :meth:`lattice_points`, the only numpy code.
+        """Generator behind :meth:`scan`, the only numpy code.
 
-        The normals matrix and the bit weights are built once per scan.  The
-        bit weights are ``int64`` below 63 facets and Python integers from
-        there on.
+        The box is cut into slabs along the first coordinate.  Each slab of
+        ``(2*bound+1)^(n-1)`` points is built once from ``np.indices`` in
+        lexicographic order and classified by one product
+        ``points @ normals.T``; slabs in increasing first coordinate give the
+        lexicographic order of the box.  A slab's products are freed before
+        its points are yielded.  Arithmetic is exact: ``int64`` while
+        ``max_u sum|u_i| * bound`` stays below ``2**62``, Python integers
+        (``dtype=object``) otherwise.  The bit weights are ``int64`` below 63
+        facets and Python integers from there on.
         """
         n = self.ambient_rank
         normals = self.dual.rays
@@ -240,19 +240,18 @@ class Cone:
         normals_t = np.array(normals, dtype=dtype).reshape(-1, n).T
         k = len(normals)
         weights = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
-        coords = range(-bound, bound + 1)
-        rest = list(itertools.product(coords, repeat=n - 1))
-        slab = np.empty((len(rest), n), dtype=dtype)
-        slab[:, 1:] = np.array(rest, dtype=dtype).reshape(len(rest), n - 1)
-        points = []
-        masks = []
-        for first in coords:
+        side = 2 * bound + 1
+        rest = side ** (n - 1)
+        slab = np.empty((rest, n), dtype=dtype)
+        slab[:, 1:] = np.indices((side,) * (n - 1)).reshape(n - 1, rest).T - bound
+        for first in range(-bound, bound + 1):
             slab[:, 0] = first
             vals = slab @ normals_t
             inside = (vals >= 0).all(axis=1)
-            points.extend((first,) + rest[j] for j in np.flatnonzero(inside).tolist())
-            masks.extend(((vals[inside] == 0).astype(weights.dtype) @ weights).tolist())
-        return tuple(points), tuple(masks)
+            columns = slab[inside].T.tolist()
+            masks = ((vals[inside] == 0).astype(weights.dtype) @ weights).tolist()
+            del vals, inside
+            yield from zip(zip(*columns), masks)
 
     def __eq__(self, other):
         return (

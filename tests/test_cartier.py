@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -13,10 +14,12 @@ from toricdiff.cartier import (
     phi,
     verify_isomorphism,
 )
-from toricdiff.complexes import DegreeComplex, degree_complex
+from toricdiff.complexes import DegreeComplex, cohomology_table, degree_complex
 from toricdiff.cones import Cone, NotInConeError
 from toricdiff.forms import degree_subspace
 from toricdiff.linalg import GF
+
+from tests.conftest import load_exponent_cone
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +135,6 @@ class TestVerifyIsomorphism:
         assert report.violations == ()
 
     def test_concentration_explicit(self, quadric):
-        from toricdiff.complexes import cohomology_table
-
         table = cohomology_table(quadric, 4, 2)
         for m, h in table.entries.items():
             if any(x % 2 for x in m):
@@ -155,6 +156,15 @@ class TestVerifyIsomorphism:
         cone = corpus["square-3d"]
         for m, sub, _ in cartier._typed_sources(cone, 2, 3):
             assert sub == degree_subspace(cone, m, 3), m
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_hash_is_the_table_hash_of_the_target_box(self, corpus, p):
+        # the target box is hashed as it streams by, never held as a table
+        for name, cone in corpus.items():
+            report = verify_isomorphism(cone, 1, p)
+            table = cohomology_table(cone, p, p)
+            assert report.table_hash == table.table_hash(), name
+            assert report.target_degrees == len(table.entries)
 
     def test_json_round_trip(self, orthant):
         report = verify_isomorphism(orthant, 2, 3)
@@ -196,6 +206,31 @@ def test_verification_keeps_no_cone_alive():
     del cone
     gc.collect()
     assert ref() is None
+
+
+def test_memory_does_not_grow_with_the_box():
+    # the target box streams by: only the per-type memos and the cohomology
+    # at the p-divisible degrees stay, so a box with over 4x the cone points
+    # must not raise the traced peak by more than the slack
+    fields = {"ambient_rank", "_lineality", "_pointed", "rays", "dual", "_facets"}
+
+    def traced_peak(bound):
+        cone = load_exponent_cone("square-3d")
+        tracemalloc.start()
+        try:
+            assert verify_isomorphism(cone, bound, 2).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no box data stays on the cone or its dual after the scans
+        assert set(cone.__dict__) <= fields and set(cone.dual.__dict__) <= fields
+        return peak
+
+    small, large = 2, 4
+    cone = load_exponent_cone("square-3d")
+    assert len(cone.lattice_points(2 * large)) >= 4 * len(cone.lattice_points(2 * small))
+    traced_peak(large)  # fills the bounded V_m and wedge caches
+    assert traced_peak(large) <= 1.25 * traced_peak(small) + 64 * 1024
 
 
 class TestNegativeControls:
@@ -259,16 +294,16 @@ class TestNegativeControls:
         )
 
     def test_wrong_target_faces_fail_the_generator_identity(self, orthant, monkeypatch):
-        # the faces through pm come from the scan of the target box, not from the
+        # the faces through pm come from classifying pm on its own, not from the
         # mask of m; forget them there and V_pm grows to the whole space, so the
         # wedge coordinates of every degree on an axis drift
-        real = Cone.facet_masks
+        real = Cone._point_mask
 
-        def forgetful(cone, bound):
-            masks = real(cone, bound)
-            return (0,) * len(masks) if bound == self.P * self.BOUND else masks
+        def forgetful(cone, v):
+            mask = real(cone, v)
+            return 0 if mask is not None and not any(x % self.P for x in v) else mask
 
-        monkeypatch.setattr(Cone, "facet_masks", forgetful)
+        monkeypatch.setattr(Cone, "_point_mask", forgetful)
         result = inverse_cartier_generator_check(orthant, self.BOUND, self.P)
         on_axes = [m for m in orthant.lattice_points(self.BOUND) if any(m) and not all(m)]
         assert len(on_axes) == 6

@@ -172,6 +172,15 @@ class TestPoincare:
             assert report.violations == ()
             assert report.checked == len(cone.lattice_points(3))
 
+    def test_hash_is_the_table_hash(self, corpus):
+        # the check hashes the degrees as they stream by; the table hashes its
+        # sorted entries, and the two must be the same CSV bytes
+        for name, cone in corpus.items():
+            report = poincare_check(cone, 2)
+            table = cohomology_table(cone, 2, 0)
+            assert report.table_hash == table.table_hash(), name
+            assert report.checked == len(table.entries)
+
     def test_needs_vertex(self):
         halfplane = Cone([(1, 0), (-1, 0), (0, 1)])
         with pytest.raises(NoVertexError):

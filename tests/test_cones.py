@@ -137,8 +137,15 @@ class TestLatticePoints:
             assert (0, 0) in Cone(rays).dual.lattice_points(0)
 
     def test_lex_sorted(self):
-        pts = Cone([(1, 0), (0, 1)]).dual.lattice_points(2)
-        assert list(pts) == sorted(pts)
+        # the streamed table hashes rely on the scan order being the sorted order
+        for cone in (
+            Cone([(1, 0), (0, 1)]).dual,
+            Cone([(1, 0), (-1, 0), (0, 1)]),
+            Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)]).dual,
+            Cone([(1,), (-1,)]),
+        ):
+            pts = cone.lattice_points(3)
+            assert pts == tuple(sorted(pts))
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +179,7 @@ class TestScanMatchesDefinition:
     @example(Cone([(1, 0), (0, 1)]), 0)
     @example(HUGE, 3)
     @example(Cone([(i, i * i, 1) for i in range(-32, 32)]), 1)  # 64 facets: masks need bit 63
+    @example(Cone([(1,)]), 2)  # rank 1: slabs of one point
     def test_points_and_masks(self, cone, bound):
         normals = cone.dual.rays
         box = itertools.product(range(-bound, bound + 1), repeat=cone.ambient_rank)
@@ -179,10 +187,11 @@ class TestScanMatchesDefinition:
         assert cone.lattice_points(bound) == want
         masks = cone.facet_masks(bound)
         assert len(masks) == len(want)
+        assert tuple(cone.scan(bound)) == tuple(zip(want, masks))
         for v, mask in zip(want, masks):
             assert cone.contains(v)
             on = [i for i, u in enumerate(normals) if sum(a * b for a, b in zip(u, v)) == 0]
-            assert mask == sum(1 << i for i in on)
+            assert mask == sum(1 << i for i in on) == cone._point_mask(v)
             if cone.is_full_dimensional():
                 assert [f.index for f in cone.facets_containing(v)] == on
 
