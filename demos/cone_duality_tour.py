@@ -32,7 +32,7 @@ for facet in dual.facets:
 print("(1, 1) in dual cone:", dual.contains((1, 1)))
 print("(0, -1) in dual cone:", dual.contains((0, -1)))
 print("lattice points with entries in [-2, 2]:")
-print(" ", dual.lattice_points(2))
+print(" ", tuple(m for m, _ in dual.lattice_points(2)))
 
 # A cone that is not full dimensional has no well defined facet data and
 # says so rather than guessing.

@@ -18,11 +18,8 @@ and the complex at pm, which are all the shift matrices and the target
 complex depend on.  The shift respects wedge products, so :func:`phi` takes
 V_m, V_pm and the change of basis between them once per type and builds
 every level as a wedge power of that one map.  Violations are still reported
-per source degree, and ``m in V_m`` is still asserted for each one.
-
-The target box is streamed once (:func:`_box_cohomology`).  Its table is
-hashed line by line, and only the cohomology at the p-divisible degrees,
-one per source degree, is kept.
+per source degree, and ``m in V_m`` is still asserted for each one.  The
+target box streams by: only the cohomology at its p-divisible degrees stays.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import json
 from dataclasses import asdict, dataclass
 from math import comb
 
-from .complexes import _box_cohomology, _csv_header, _csv_line, degree_complex, sha256
+from .complexes import _box_cohomology, _CsvRows, degree_complex
 from .forms import _located_degree, degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import GF, identity_matrix, mat_mul, rank, zero_matrix
 
@@ -164,7 +161,7 @@ def _typed_sources(cone, bound, p):
     there asserts ``m in V_m`` for every source degree.
     """
     memo = {}
-    for m, mask in cone.scan(bound):
+    for m, mask in cone.lattice_points(bound):
         sub = _located_degree(cone._facets_of(mask), m, p)[0]
         got = memo.get(mask)
         if got is None:
@@ -186,12 +183,12 @@ def inverse_cartier_generator_check(cone, bound, p):
     """
     violations = []
     checked = 0
-    for m, mask in cone.scan(bound):
+    for m, mask in cone.lattice_points(bound):
         if not any(m):
             continue
         pm = tuple(p * x for x in m)
         w = _located_degree(cone._facets_of(mask), m, p)[1]
-        sub_pm = _located_degree(cone._facets_of(cone._point_mask(pm)), pm, p)[0]
+        sub_pm = _located_degree(cone.facets_containing(pm), pm, p)[0]
         if w != sub_pm.coordinates_of(m):
             violations.append(f"degree {m}: wedge coordinates drift under the shift")
         checked += 1
@@ -270,8 +267,7 @@ class CartierReport:
             f"{'PASS' if self.concentration_ok else 'FAIL'} "
             f"({self.target_degrees} target degrees)"
         )
-        for v in self.violations:
-            lines.append(f"  violation: {v}")
+        lines.extend(f"  violation: {v}" for v in self.violations)
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -297,17 +293,16 @@ def verify_isomorphism(cone, bound, p):
         raise ValueError("bound must be at least 1")
     GF(p)  # refuses a composite modulus before the scan
     n = cone.ambient_rank
-    digest = sha256(_csv_header(n).encode())
-    target_degrees = 0
+    rows = _CsvRows(_box_cohomology(cone, p * bound, p), n)
     shifted = {}  # cohomology at the degrees pm, one per source degree m
     violations = []
-    for md, h in _box_cohomology(cone, p * bound, p):
-        digest.update(_csv_line(md, h).encode())
-        target_degrees += 1
+    for md, h in rows:
         if not any(x % p for x in md):
             shifted[md] = h
         elif any(h):
-            violations.append(f"degree {md}: cohomology {h} away from the multiples of {p}")
+            violations.append(
+                f"degree {md}: cohomology {h} away from the multiples of {p}"
+            )
     concentration_ok = not violations
     levels = tuple(LevelSummary(a, 0, True, True, True, 0, 0) for a in range(n + 1))
     for m, sub, outcome in _typed_sources(cone, bound, p):
@@ -333,6 +328,13 @@ def verify_isomorphism(cone, bound, p):
                     f"cohomology dimension {hs[a]}"
                 )
     return CartierReport(
-        cone.rays, p, bound, p * bound, levels, concentration_ok,
-        target_degrees, tuple(violations), digest.hexdigest(),
+        cone.rays,
+        p,
+        bound,
+        p * bound,
+        levels,
+        concentration_ok,
+        rows.count,
+        tuple(violations),
+        rows.hexdigest(),
     )

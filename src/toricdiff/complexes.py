@@ -14,14 +14,13 @@ factor to the primitive integer vector on their line, and the ranks and the
 d∘d check run on Python ints.  This is linear algebra about the complex,
 not the statement under test.
 
-Degrees stream by in lexicographic order (:func:`_box_cohomology`), and a
-check reads them in one pass, so no table of the box is held.  Over GF(p)
-each degree type is computed once.  The type of m is its facet bitmask from
-the box scan (:meth:`Cone.scan`) together with m mod p.  This is sound by
-construction: V_m is the intersection of the face subspaces picked out by
-the mask, and the coordinates of m in V_m, which fix every differential,
-only see m mod p.  Over QQ the coordinates see all of m, so every degree is
-computed on its own.  Either way m is not classified again.
+Degrees stream by in lexicographic order (:func:`_box_cohomology`) and a
+check reads them in one pass, holding no table of the box.  Over GF(p) each
+degree type is computed once.  The type of m is its facet bitmask from the
+box scan (:meth:`Cone.lattice_points`) together with m mod p.  This is sound
+by construction: V_m is the intersection of the face subspaces picked out
+by the mask, and the coordinates of m in V_m, which fix every differential,
+only see m mod p.  Over QQ each degree is computed on its own, from its mask.
 
 Tables and reports serialize to JSON (round-trips through ``from_json``)
 and to CSV with one row per degree.  Output is byte-stable: degrees are
@@ -118,17 +117,12 @@ def _assemble(facets, m, char):
 def cohomology(dc):
     """Cohomology dimensions of a degree complex by rank and nullity."""
     field = field_of_characteristic(dc.characteristic)
-    n = len(dc.dims) - 1
-    ranks = [rank(field, D) for D in dc.differentials]
-    out = []
-    for a in range(n + 1):
-        h = dc.dims[a]
-        if a < n:
-            h -= ranks[a]
-        if a > 0:
-            h -= ranks[a - 1]
-        out.append(h)
-    return tuple(out)
+    return _homology(dc.dims, [rank(field, D) for D in dc.differentials])
+
+
+def _homology(dims, ranks):
+    """``dims[a]`` less the ranks of the differentials out of and into level a."""
+    return tuple(d - out - into for d, out, into in zip(dims, [*ranks, 0], [0, *ranks]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +166,42 @@ class CohomologyTable:
             entries,
         )
 
-    def _csv_lines(self):
+    def _rows(self):
         degrees = self.degrees()
-        yield _csv_header(len(degrees[0]))
-        for m in degrees:
-            yield _csv_line(m, self.entries[m])
+        return _CsvRows(((m, self.entries[m]) for m in degrees), len(degrees[0]))
 
     def to_csv(self):
-        return "".join(self._csv_lines())
+        rows = self._rows()
+        return rows.header + "".join(_csv_line(m, h) for m, h in rows)
 
     def table_hash(self):
         """sha256 of :meth:`to_csv`, fed line by line so the text is never built."""
-        digest = sha256()
-        for line in self._csv_lines():
-            digest.update(line.encode())
-        return digest.hexdigest()
+        return self._rows().hexdigest()
 
 
 def _csv_line(m, h):
     return ",".join(str(x) for x in (*m, *h)) + "\n"
 
 
-def _csv_header(n):
-    return _csv_line([f"m{i + 1}" for i in range(n)], [f"h{a}" for a in range(n + 1)])
+class _CsvRows:
+    """Rows ``(m, h)`` passed on in order, counted and hashed as CSV lines on the way."""
+
+    def __init__(self, rows, n):
+        self.rows, self.count = rows, 0
+        self.header = _csv_line([f"m{i + 1}" for i in range(n)], [f"h{a}" for a in range(n + 1)])
+        self.digest = sha256(self.header.encode())
+
+    def __iter__(self):
+        for m, h in self.rows:
+            self.digest.update(_csv_line(m, h).encode())
+            self.count += 1
+            yield m, h
+
+    def hexdigest(self):
+        """sha256 of the header and every row; rows not yet passed on are read here."""
+        for _ in self:
+            pass
+        return self.digest.hexdigest()
 
 
 def cohomology_table(cone, bound, char):
@@ -205,7 +212,7 @@ def cohomology_table(cone, bound, char):
 def _box_cohomology(cone, bound, char):
     """``(m, h)`` for every degree of the box, lexicographic; a GF(p) type is computed once."""
     memo = {}
-    for m, mask in cone.scan(bound):
+    for m, mask in cone.lattice_points(bound):
         key = (mask, tuple(x % char for x in m)) if char else None
         got = memo.get(key)
         if got is None:
@@ -285,17 +292,19 @@ def poincare_check(cone, bound):
     n = cone.ambient_rank
     point = (1,) + (0,) * n
     nothing = (0,) * (n + 1)
-    digest = sha256(_csv_header(n).encode())
-    checked = 0
+    rows = _CsvRows(_box_cohomology(cone, bound, 0), n)
     violations = []
-    for m, h in _box_cohomology(cone, bound, 0):
-        digest.update(_csv_line(m, h).encode())
-        checked += 1
+    for m, h in rows:
         want = nothing if any(m) else point
         if h != want:
             violations.append((m, h, want))
     return PoincareReport(
-        cone.rays, bound, checked, not violations, tuple(violations), digest.hexdigest()
+        cone.rays,
+        bound,
+        rows.count,
+        not violations,
+        tuple(violations),
+        rows.hexdigest(),
     )
 
 
@@ -315,7 +324,7 @@ def oracle_full_complex(cone, bound, char):
     field = field_of_characteristic(char)
     n = cone.ambient_rank
     data = []
-    for m, mask in cone.scan(bound):
+    for m, mask in cone.lattice_points(bound):
         sub, w = _located_degree(cone._facets_of(mask), m, char)
         data.append((sub.dim, w))
     offsets = []
@@ -347,12 +356,4 @@ def oracle_full_complex(cone, bound, char):
                 if col:
                     cols.append(col)
         ranks.append(sparse_rank(field, cols))
-    out = []
-    for a in range(n + 1):
-        h = totals[a]
-        if a < n:
-            h -= ranks[a]
-        if a > 0:
-            h -= ranks[a - 1]
-        out.append(h)
-    return tuple(out)
+    return _homology(totals, ranks)

@@ -162,30 +162,15 @@ class Cone:
         return tuple(f for f in self.facets if mask >> f.index & 1)
 
     def lattice_points(self, bound):
-        """All cone points in the box ``[-bound, bound]^n``, lexicographic.
+        """Iterator of ``(point, facet mask)`` over the cone points of ``[-bound, bound]^n``.
 
-        The points of :meth:`scan`, gathered into a tuple.  The origin is
-        always included.
-        """
-        return tuple(v for v, _ in self.scan(bound))
-
-    def facet_masks(self, bound):
-        """Facet bitmasks of ``lattice_points(bound)``, in the same order.
-
-        Bit i of a mask is set when the point is orthogonal to the i-th
-        dual ray, so for a full dimensional cone the set bits are the
-        indices of :meth:`facets_containing`.
-        """
-        return tuple(mask for _, mask in self.scan(bound))
-
-    def scan(self, bound):
-        """Iterator of ``(point, facet mask)`` over the cone points of the box.
-
-        Points come in lexicographic order, masks as in :meth:`facet_masks`.
-        The box is streamed (see :meth:`_scan`) and nothing of it is kept,
-        so a caller that consumes the points one by one holds one slab of
-        the box at a time.  A box of more than ``_MAX_BOX_POINTS`` points is
-        refused here, before the scan starts.
+        Points come in lexicographic order; the origin is always included.
+        Bit i of a mask is set when the point is orthogonal to the i-th dual
+        ray, so for a full dimensional cone the set bits are the indices of
+        :meth:`facets_containing`.  The box is streamed (see :meth:`_scan`)
+        and nothing of it is kept, so a caller that consumes the points one
+        by one holds one slab of the box at a time.  A box of more than
+        ``_MAX_BOX_POINTS`` points is refused here, before the scan starts.
         """
         if bound < 0:
             raise ValueError("bound must be nonnegative")
@@ -221,7 +206,7 @@ class Cone:
         return mask
 
     def _scan(self, bound):
-        """Generator behind :meth:`scan`, the only numpy code.
+        """Generator behind :meth:`lattice_points`, the only numpy code.
 
         The box is cut into slabs along the first coordinate.  Each slab of
         ``(2*bound+1)^(n-1)`` points is built once from ``np.indices`` in

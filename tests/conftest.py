@@ -7,6 +7,11 @@ from toricdiff.cli import exponent_cone, load_cone_spec
 CONE_DIR = pathlib.Path(__file__).resolve().parent.parent / "cones"
 
 
+def cone_points(cone, bound):
+    """The points of ``cone.lattice_points(bound)`` in scan order, without their masks."""
+    return tuple(m for m, _ in cone.lattice_points(bound))
+
+
 def load_exponent_cone(name):
     """Exponent cone from one of the bundled cone files."""
     return exponent_cone(*load_cone_spec(CONE_DIR / f"{name}.json"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import cone_points
 from tests.structural import random_exponent_cones
 from toricdiff import complexes, forms
 from toricdiff.cones import Cone
@@ -87,7 +88,7 @@ def test_scaling_lemma(seed, pick):
     # over QQ the complex wedges with the primitive integer vector on the line
     # of w, the coordinates of m; its cohomology must be that of w itself
     cone = next(random_exponent_cones(random.Random(seed), 1))
-    points = cone.lattice_points(2)
+    points = cone_points(cone, 2)
     m = points[pick % len(points)]
     n = cone.ambient_rank
     w = degree_subspace(cone, m, 0).coordinates_of(m)
@@ -170,7 +171,7 @@ class TestPoincare:
             report = poincare_check(cone, 3)
             assert report.passed
             assert report.violations == ()
-            assert report.checked == len(cone.lattice_points(3))
+            assert report.checked == len(cone_points(cone, 3))
 
     def test_hash_is_the_table_hash(self, corpus):
         # the check hashes the degrees as they stream by; the table hashes its

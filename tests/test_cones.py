@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from toricdiff.cones import Cone, NotInConeError, NotPointedError
 from toricdiff.linalg import saturate
 
+from tests.conftest import cone_points
+
 
 class TestDuality:
     def test_quadric_dual(self):
@@ -130,11 +132,11 @@ class TestFacets:
 class TestLatticePoints:
     def test_quadric_small_box(self):
         d = Cone([(0, 1), (2, -1)]).dual
-        assert d.lattice_points(1) == ((0, 0), (1, 0), (1, 1))
+        assert cone_points(d, 1) == ((0, 0), (1, 0), (1, 1))
 
     def test_origin_always_present(self):
         for rays in ([(1, 0), (0, 1)], [(0, 1), (2, -1)], [(1, 2), (3, 1)]):
-            assert (0, 0) in Cone(rays).dual.lattice_points(0)
+            assert (0, 0) in cone_points(Cone(rays).dual, 0)
 
     def test_lex_sorted(self):
         # the streamed table hashes rely on the scan order being the sorted order
@@ -144,7 +146,7 @@ class TestLatticePoints:
             Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)]).dual,
             Cone([(1,), (-1,)]),
         ):
-            pts = cone.lattice_points(3)
+            pts = cone_points(cone, 3)
             assert pts == tuple(sorted(pts))
 
     def test_negative_bound_rejected(self):
@@ -154,7 +156,7 @@ class TestLatticePoints:
     def test_halfplane_points(self):
         # exponent cone with a line: every degree on the horizontal axis
         c = Cone([(1, 0), (-1, 0), (0, 1)])
-        pts = c.lattice_points(1)
+        pts = cone_points(c, 1)
         assert pts == ((-1, 0), (-1, 1), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -184,11 +186,9 @@ class TestScanMatchesDefinition:
         normals = cone.dual.rays
         box = itertools.product(range(-bound, bound + 1), repeat=cone.ambient_rank)
         want = tuple(v for v in box if all(sum(a * b for a, b in zip(u, v)) >= 0 for u in normals))
-        assert cone.lattice_points(bound) == want
-        masks = cone.facet_masks(bound)
-        assert len(masks) == len(want)
-        assert tuple(cone.scan(bound)) == tuple(zip(want, masks))
-        for v, mask in zip(want, masks):
+        scanned = tuple(cone.lattice_points(bound))
+        assert tuple(v for v, _ in scanned) == want
+        for v, mask in scanned:
             assert cone.contains(v)
             on = [i for i, u in enumerate(normals) if sum(a * b for a, b in zip(u, v)) == 0]
             assert mask == sum(1 << i for i in on) == cone._point_mask(v)
@@ -198,8 +198,7 @@ class TestScanMatchesDefinition:
     def test_huge_normals_take_the_exact_path(self):
         width = max(sum(map(abs, u)) for u in HUGE.dual.rays)
         assert width >= 2**62  # too wide for int64 even at bound 1
-        assert HUGE.lattice_points(1) == ((0, 0), (1, 0), (1, 1))
-        assert HUGE.facet_masks(1) == (3, 1, 0)
+        assert tuple(HUGE.lattice_points(1)) == (((0, 0), 3), ((1, 0), 1), ((1, 1), 0))
         assert HUGE.contains((10**30, 1)) and not HUGE.contains((0, 1))
 
 
