@@ -1,30 +1,30 @@
 """Degree-by-degree complexes of wedge powers and their cohomology.
 
 In a fixed degree m the complex is the exterior algebra on V_m with the
-differential "wedge with the class of m".  That map preserves the grading,
-so cohomology over a box of degrees is the direct sum of the per-degree
-answers; the fast path exploits this, while :func:`oracle_full_complex`
-deliberately does not and serves as an independent cross-check.
+differential "wedge with w", the coordinates of m in V_m: the Koszul complex
+of one vector.  That map preserves the grading, so cohomology over a box of
+degrees is the direct sum of the per-degree answers.
 
-Over QQ the differentials are integer matrices.  For c != 0 the complex of
-c*w is c times the complex of w: every differential is scaled by c, so the
-ranks are unchanged and d∘d = 0 holds for one exactly when it holds for the
-other.  The coordinates w of m in V_m are therefore scaled by a positive
-factor to the primitive integer vector on their line, and the ranks and the
-d∘d check run on Python ints.  This is linear algebra about the complex,
-not the statement under test.
+Three paths compute cohomology, each on purpose:
 
-Degrees stream by in lexicographic order (:func:`_box_cohomology`) and a
-check reads them in one pass, holding no table of the box.  Over GF(p) each
-degree type is computed once.  The type of m is its facet bitmask from the
-box scan (:meth:`Cone.lattice_points`) together with m mod p.  This is sound
-by construction: V_m is the intersection of the face subspaces picked out
-by the mask, and the coordinates of m in V_m, which fix every differential,
-only see m mod p.  Over QQ each degree is computed on its own, from its mask.
+- a box of degrees (:func:`_box_cohomology`, behind every table and check)
+  builds no matrix.  Two identities of the wedge matrices, D∘D = 0 and a
+  contracting homotopy, are proven once per dim V_m
+  (:func:`toricdiff.forms._prove_koszul`).  A degree with w != 0 in the
+  field is then exact, and one with w = 0 has zero differentials, so its
+  cohomology is the whole wedge algebra on V_m.  What each degree costs is
+  the integer test ``m in V_m`` that locates w;
+- a single degree (:func:`degree_complex`, :func:`cohomology`) builds the
+  matrices, checks d∘d = 0 and ranks them: Bareiss over QQ, elimination
+  mod p over GF(p).  The demos and the Cartier target complex at pm use it,
+  and the tests hold it against the box path as a cross-check;
+- :func:`oracle_full_complex` does not split by degree and ranks whole-box
+  sparse matrices, an independent check of the grading argument.
 
-Tables and reports serialize to JSON (round-trips through ``from_json``)
-and to CSV with one row per degree.  Output is byte-stable: degrees are
-sorted, hashes are over the CSV bytes, of a table or of the stream alike.
+Degrees stream by in lexicographic order and a check reads them in one
+pass, holding no table of the box.  Tables and reports serialize to JSON and
+to CSV with one row per degree.  Output is byte-stable: degrees are sorted,
+hashes are over the CSV bytes, of a table or of the stream alike.
 """
 
 from __future__ import annotations
@@ -43,14 +43,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .forms import _located_degree, wedge_matrix, wedge_subsets
-from .linalg import (
-    _primitive,
-    field_of_characteristic,
-    mat_mul,
-    rank,
-    sparse_rank,
-)
+from .forms import _located_degree, _prove_koszul, wedge_matrix, wedge_subsets
+from .linalg import field_of_characteristic, mat_mul, rank, sparse_rank
 
 __all__ = [
     "DegreeComplex",
@@ -76,12 +70,8 @@ class DegreeComplex:
     ``dims[a]`` is the dimension at level a and ``differentials[a]`` the
     matrix of level a into level a+1, a tuple of row tuples (columns indexed
     by the lexicographic wedge basis).  Consecutive differentials compose to zero; this is
-    asserted at construction.
-
-    Over QQ the differential wedges with the primitive integer vector on the
-    line of the coordinates of m, so the matrices have int entries; by the
-    lemma in the module docstring they have the ranks of the unscaled ones.
-    Over GF(p) they wedge with the coordinates of m themselves.
+    asserted at construction.  They wedge with the coordinates of m in V_m:
+    ints over QQ, residues over GF(p).
     """
 
     degree: tuple
@@ -97,15 +87,8 @@ def degree_complex(cone, m, char):
     lattice, over QQ only for m = 0) every differential is the zero matrix.
     """
     m = tuple(int(x) for x in m)
-    return _assemble(cone.facets_containing(m), m, char)
-
-
-def _assemble(facets, m, char):
-    """:func:`degree_complex` for a degree whose faces are already known."""
     field = field_of_characteristic(char)
-    sub, w = _located_degree(facets, m, char)
-    if not char:
-        w = _primitive(w)
+    sub, w = _located_degree(cone.facets_containing(m), m, char)
     n = len(m)
     diffs = [wedge_matrix(field, w, a) for a in range(n)]
     for a in range(n - 1):
@@ -153,19 +136,6 @@ class CohomologyTable:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        entries = {
-            tuple(row["degree"]): tuple(row["h"]) for row in data["cohomology"]
-        }
-        return cls(
-            tuple(tuple(r) for r in data["rays"]),
-            data["characteristic"],
-            data["bound"],
-            entries,
-        )
-
     def _rows(self):
         degrees = self.degrees()
         return _CsvRows(((m, self.entries[m]) for m in degrees), len(degrees[0]))
@@ -210,16 +180,21 @@ def cohomology_table(cone, bound, char):
 
 
 def _box_cohomology(cone, bound, char):
-    """``(m, h)`` for every degree of the box, lexicographic; a GF(p) type is computed once."""
-    memo = {}
+    """``(m, h)`` for every degree of the box, in lexicographic order.
+
+    h is read off w, the coordinates of m in V_m (see the module
+    docstring): zero when w != 0, whose exactness :func:`_prove_koszul`
+    proves, and ``C(dim V_m, a)`` when w = 0 and every differential is zero.
+    """
+    n = cone.ambient_rank
+    exact = (0,) * (n + 1)
     for m, mask in cone.lattice_points(bound):
-        key = (mask, tuple(x % char for x in m)) if char else None
-        got = memo.get(key)
-        if got is None:
-            got = cohomology(_assemble(cone._facets_of(mask), m, char))
-            if char:
-                memo[key] = got
-        yield m, got
+        sub, w = _located_degree(cone._facets_of(mask), m, char)
+        if any(w):
+            _prove_koszul(len(w))
+            yield m, exact
+        else:
+            yield m, tuple(comb(sub.dim, a) for a in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +225,6 @@ class PoincareReport:
             "table_hash": self.table_hash,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        violations = tuple(
-            (tuple(v["degree"]), tuple(v["h"]), tuple(v["expected"]))
-            for v in data["violations"]
-        )
-        return cls(
-            tuple(tuple(r) for r in data["rays"]),
-            data["bound"],
-            data["checked"],
-            data["passed"],
-            violations,
-            data["table_hash"],
-        )
 
     def to_text(self):
         head = (
@@ -318,8 +277,9 @@ def oracle_full_complex(cone, bound, char):
     Assembles each differential of the truncated complex as a single sparse
     matrix over all degrees at once and computes ranks by online sparse
     elimination.  Returns the total dimension vector ``h(0..n)``; comparing
-    it against the column sums of :func:`cohomology_table` exercises both
-    the grading argument and two unrelated elimination codepaths.
+    it against the column sums of :func:`cohomology_table` holds sparse
+    elimination over the whole box against the identities proven once per
+    dimension, and checks the grading argument on the way.
     """
     field = field_of_characteristic(char)
     n = cone.ambient_rank

@@ -12,14 +12,19 @@ Everything here takes the cone on the exponent side.  V_m is cached per set
 of faces, so scanning a large box of degrees builds each distinct face set
 once per characteristic; a face subspace is rebuilt only on a miss of that
 cache.  The cache is bounded, so a long-lived process does not grow with
-every cone it sees.
+every cone it sees.  The differential "wedge with m" is proven exact or
+zero once per dim V_m (:func:`_prove_koszul`), so a degree costs only the
+integer test that locates m in V_m.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .linalg import field_of_characteristic, full_space, intersect, lattice_subspace
 
@@ -74,6 +79,56 @@ def wedge_matrix(field, w, a):
     return tuple(map(tuple, D))
 
 
+@lru_cache(maxsize=None)
+def _prove_koszul(d):
+    """Prove, for every w at once, the two identities the box tables rest on.
+
+    ``D(w) = wedge_matrix(field, w, a)`` on each level a has the entries
+    ±w_pos of :func:`_wedge_template`: linear forms in w with integer
+    coefficients.  Let h_i be the interior product by ``e_i*``, which sends
+    ``e_I`` to ``(-1)^t e_{I-i}`` for i the t-th index of I.  Expanded
+    coefficient by coefficient on every level of ``k^d``:
+
+    - ``D(w) D(w) = 0``: wedging with w is a complex;
+    - ``D(w) h_i + h_i D(w) = w_i id``: if some w_i is invertible, every
+      cocycle z is the boundary of ``h_i z / w_i``, so the complex is exact.
+
+    Both hold over every field.  Raises AssertionError when one fails.
+    """
+    D = {}  # D[I] = [(J, sign, pos)] with e_pos ∧ e_I = sign e_J, from the template
+    for a in range(d + 1):
+        basis, up = wedge_subsets(d, a), wedge_subsets(d, a + 1)
+        for row, col, odd, pos in _wedge_template(d, a):
+            D.setdefault(basis[col], []).append((up[row], -1 if odd else 1, pos))
+    square = Counter()
+    for I, out in D.items():
+        for J, s, p in out:
+            for K, t, q in D.get(J, ()):
+                square[I, K, min(p, q), max(p, q)] += s * t
+    if any(square.values()):
+        raise AssertionError(f"wedge template of k^{d}: D(w) D(w) is not zero")
+    subsets = [I for a in range(d + 1) for I in wedge_subsets(d, a)]
+    for i in range(d):
+        homotopy = Counter()
+        for I in subsets:
+            if i in I:
+                K, s = _contract(I, i)
+                for J, t, p in D.get(K, ()):
+                    homotopy[I, J, p] += s * t
+            for J, t, p in D.get(I, ()):
+                if i in J:
+                    K, s = _contract(J, i)
+                    homotopy[I, K, p] += s * t
+        if {k: v for k, v in homotopy.items() if v} != {(I, I, i): 1 for I in subsets}:
+            raise AssertionError(f"wedge template of k^{d}: h_{i} is no contracting homotopy")
+
+
+def _contract(I, i):
+    """Interior product by ``e_i*`` on ``e_I`` (i in I): ``(I - i, sign)``."""
+    t = I.index(i)
+    return I[:t] + I[t + 1 :], (-1) ** t
+
+
 # Entries held by the V_m cache.  A box touches one entry per distinct face
 # set, so this is far above any table's working set; it only stops a long
 # process that visits many cones from growing without limit.
@@ -102,15 +157,37 @@ def degree_subspace(cone, m, char):
 
 
 def _located_degree(facets, m, char):
-    """V_m for the faces through m, with the coordinates of m in its basis.
+    """V_m for the faces through m, with the coordinates w of m in its basis.
 
-    One coordinate solve both gives the coordinates and asserts ``m in V_m``.
+    In the reduced basis the coordinates of a vector of V_m are its entries
+    at the pivot columns, so w is read off m, and ``m in V_m`` is asserted by
+    one integer identity per other column (see :func:`_free_columns`).
+    Over GF(p), w is reduced mod p.
     """
-    sub = _facet_intersection(facets, len(m), char)
-    w = sub.coordinates_of(m)
-    if w is None:
-        raise AssertionError(f"degree {m} escaped its own subspace")
+    n = len(m)
+    sub = _facet_intersection(facets, n, char)
+    scale, free = _free_columns(facets, n, char)
+    w = tuple(m[i] % char if char else m[i] for i in sub.pivots)
+    for j, col in free:
+        gap = scale * m[j] - sum(map(mul, w, col))
+        if gap % char if char else gap:
+            raise AssertionError(f"degree {m} escaped its own subspace")
     return sub, w
+
+
+@lru_cache(maxsize=_VM_CACHE_SIZE)
+def _free_columns(facets, n, char):
+    """``(scale, ((j, col_j), ...))``: the non-pivot columns of V_m as ints.
+
+    ``col_j`` holds entry j of every basis row, times ``scale``, the lcm of
+    their denominators (1 over GF(p)).  A vector with coordinates w lies in
+    V_m exactly when ``scale * m_j == sum_i w_i * col_j[i]`` for each such j,
+    mod p over GF(p).  An interior degree (V_m = k^n) has none to check.
+    """
+    sub = _facet_intersection(facets, n, char)
+    free = [j for j in range(n) if j not in sub.pivots]
+    scale = lcm(*(row[j].denominator for row in sub.basis for j in free))
+    return scale, tuple((j, tuple(int(row[j] * scale) for row in sub.basis)) for j in free)
 
 
 @lru_cache(maxsize=_VM_CACHE_SIZE)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import tracemalloc
 import weakref
@@ -8,7 +9,6 @@ import pytest
 
 import toricdiff.cartier as cartier
 from toricdiff.cartier import (
-    CartierReport,
     PhiMap,
     inverse_cartier_generator_check,
     phi,
@@ -168,9 +168,13 @@ class TestVerifyIsomorphism:
 
     def test_json_round_trip(self, orthant):
         report = verify_isomorphism(orthant, 2, 3)
-        again = CartierReport.from_json(report.to_json())
-        assert again == report
-        assert again.to_json() == report.to_json()
+        data = json.loads(report.to_json())
+        assert data.pop("passed") is True
+        assert data.pop("rays") == [list(r) for r in report.rays]
+        assert data.pop("levels") == [vars(lv) for lv in report.levels]
+        assert data.pop("violations") == []
+        assert data == {key: getattr(report, key) for key in data}
+        assert sorted(data) == ["bound", "concentration_ok", "p", "table_hash", "target_bound", "target_degrees"]
 
     def test_text_format(self, orthant):
         text = verify_isomorphism(orthant, 1, 2).to_text()
@@ -209,9 +213,10 @@ def test_verification_keeps_no_cone_alive():
 
 
 def test_memory_does_not_grow_with_the_box():
-    # the target box streams by: only the per-type memos and the cohomology
-    # at the p-divisible degrees stay, so a box with over 4x the cone points
-    # must not raise the traced peak by more than the slack
+    # the target box streams by: only the per-facet-mask shift outcomes of
+    # the source box and the cohomology at the p-divisible degrees stay, so
+    # a box with over 4x the cone points must not raise the traced peak by
+    # more than the slack
     fields = {"ambient_rank", "_lineality", "_pointed", "rays", "dual", "_facets"}
 
     def traced_peak(bound):
@@ -229,7 +234,7 @@ def test_memory_does_not_grow_with_the_box():
     small, large = 2, 4
     cone = load_exponent_cone("square-3d")
     assert len(cone_points(cone, 2 * large)) >= 4 * len(cone_points(cone, 2 * small))
-    traced_peak(large)  # fills the bounded V_m and wedge caches
+    traced_peak(large)  # fills the bounded V_m caches and the proven dimensions
     assert traced_peak(large) <= 1.25 * traced_peak(small) + 64 * 1024
 
 
@@ -263,7 +268,9 @@ class TestNegativeControls:
         assert not report.passed
         assert [lv.split_ok for lv in report.levels] == [True, False, True]
         assert report.violations == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
-        assert CartierReport.from_json(report.to_json()) == report
+        data = json.loads(report.to_json())
+        assert data["passed"] is False
+        assert data["violations"] == list(report.violations)
         # computed in one pass, replayed for each of the nine degrees
         assert len(calls) == 1
         # the chain-map condition cannot see the matrix: the differential at

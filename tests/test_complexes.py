@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -11,9 +12,8 @@ from tests.structural import random_exponent_cones
 from toricdiff import complexes, forms
 from toricdiff.cones import Cone
 from toricdiff.complexes import (
-    CohomologyTable,
     NoVertexError,
-    PoincareReport,
+    _box_cohomology,
     cohomology,
     cohomology_table,
     degree_complex,
@@ -67,7 +67,28 @@ class TestDegreeComplex:
         assert cohomology(degree_complex(quadric, m, 3)) == (0, 0, 0)
 
     def test_perturbed_wedge_fails_the_integer_square_check(self, monkeypatch):
-        # negative control: the d∘d check on integer matrices can still fail
+        # negative control: the identities behind every box table are proven
+        # on the template itself, so one flipped sign there must fail them
+        real = forms._wedge_template
+        for d in range(1, 6):
+
+            def flipped(dim, a, d=d):
+                got = real(dim, a)
+                if (dim, a) == (d, d // 2):
+                    row, col, odd, pos = got[0]
+                    got = ((row, col, not odd, pos), *got[1:])
+                return got
+
+            forms._prove_koszul.cache_clear()
+            monkeypatch.setattr(forms, "_wedge_template", flipped)
+            try:
+                with pytest.raises(AssertionError, match=f"wedge template of k\\^{d}"):
+                    forms._prove_koszul(d)
+            finally:
+                forms._prove_koszul.cache_clear()
+
+    def test_perturbed_wedge_fails_the_single_degree_square_check(self, monkeypatch):
+        # negative control: the d∘d check of a single degree's matrices can still fail
         real = complexes.wedge_matrix
 
         def perturbed(field, w, a):
@@ -85,8 +106,8 @@ class TestDegreeComplex:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 2**32))
 def test_scaling_lemma(seed, pick):
-    # over QQ the complex wedges with the primitive integer vector on the line
-    # of w, the coordinates of m; its cohomology must be that of w itself
+    # over QQ the complex wedges with w, the coordinates of m, as ints; they
+    # must be the Fraction coordinates that Subspace.coordinates_of solves for
     cone = next(random_exponent_cones(random.Random(seed), 1))
     points = cone_points(cone, 2)
     m = points[pick % len(points)]
@@ -99,10 +120,20 @@ def test_scaling_lemma(seed, pick):
     assert cohomology(dc) == want
     assert all(type(x) is int for D in dc.differentials for row in D for x in row)
     if any(w):
-        # level 0 -> 1 is the column of the scaled vector: a positive multiple of w
-        scaled = [row[0] for row in dc.differentials[0]]
-        c = next(Fraction(s, x) for s, x in zip(scaled, w) if x)
-        assert c > 0 and scaled == [c * x for x in w]
+        # level 0 -> 1 is the column of w itself
+        assert [row[0] for row in dc.differentials[0]] == list(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([0, 2, 3, 5]))
+def test_box_stream_agrees_with_ranks(seed, char):
+    # the box path (w and the proven identities) against the rank path of
+    # single degrees; the box reaches the multiples of p, where w can vanish
+    rng = random.Random(seed)
+    cone = next(random_exponent_cones(rng, 1))
+    rows = list(_box_cohomology(cone, max(char, 2), char))
+    for m, h in rng.sample(rows, min(len(rows), 12)):
+        assert h == cohomology(degree_complex(cone, m, char)), (cone.rays, m, char)
 
 
 class TestCohomologyTable:
@@ -120,7 +151,10 @@ class TestCohomologyTable:
 
     def test_json_round_trip(self, quadric):
         table = cohomology_table(quadric, 2, 2)
-        assert CohomologyTable.from_json(table.to_json()) == table
+        data = json.loads(table.to_json())
+        assert {tuple(row["degree"]): tuple(row["h"]) for row in data["cohomology"]} == table.entries
+        assert [data["rays"], data["characteristic"], data["bound"]] == [[[1, 0], [1, 2]], 2, 2]
+        assert len(data) == 4
 
     def test_csv_shape(self, orthant):
         table = cohomology_table(orthant, 1, 0)
@@ -134,11 +168,10 @@ class TestCohomologyTable:
         t2 = cohomology_table(quadric, 2, 2)
         assert t1.table_hash() == t2.table_hash()
 
-    def test_memo_matches_direct_computation(self, corpus):
-        # the GF(p) table computes each (facet mask, m mod p) type once; on
-        # this non-simplicial cone a wrong key or a mask paired with the
-        # wrong degree changes entries, so compare every one with its own
-        # complex
+    def test_box_stream_matches_direct_computation(self, corpus):
+        # the table reads each degree off w and the proven identities; on this
+        # non-simplicial cone a mask paired with the wrong degree changes
+        # entries, so compare every one with the ranks of its own complex
         cone = corpus["square-3d"]
         table = cohomology_table(cone, 4, 3)
         assert len(table.entries) == 235
@@ -147,12 +180,14 @@ class TestCohomologyTable:
 
     def test_bounded_vm_caches_survive_eviction(self, corpus, monkeypatch):
         assert forms._facet_intersection.cache_info().maxsize is not None
+        assert forms._free_columns.cache_info().maxsize is not None
         cone = corpus["square-3d"]
         warm = {char: cohomology_table(cone, 2, char) for char in (0, 3)}
         real = complexes._located_degree
 
         def evicting(*args):
             forms._facet_intersection.cache_clear()
+            forms._free_columns.cache_clear()
             return real(*args)
 
         monkeypatch.setattr(complexes, "_located_degree", evicting)
@@ -189,7 +224,14 @@ class TestPoincare:
 
     def test_json_round_trip(self, orthant):
         report = poincare_check(orthant, 2)
-        assert PoincareReport.from_json(report.to_json()) == report
+        assert json.loads(report.to_json()) == {
+            "rays": [[0, 1], [1, 0]],
+            "bound": 2,
+            "checked": report.checked,
+            "passed": True,
+            "violations": [],
+            "table_hash": report.table_hash,
+        }
 
     def test_text_says_pass(self, orthant):
         assert "PASS" in poincare_check(orthant, 2).to_text()

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdiff import forms
@@ -16,7 +16,7 @@ from toricdiff.forms import (
     wedge_matrix,
     wedge_subsets,
 )
-from toricdiff.linalg import GF, QQ, subspace
+from toricdiff.linalg import GF, QQ, field_of_characteristic, subspace
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,25 @@ class TestDegreeSubspace:
             for c in (2, 3, 7):
                 scaled = tuple(c * x for x in m)
                 assert degree_subspace(quadric, m, 5) == degree_subspace(quadric, scaled, 5)
+
+
+class TestLocatedDegree:
+    # V_m on the face through (2, 1) has the reduced basis (1, 1/2) over QQ
+    # and (1, 2) over GF(3), so membership runs on a scaled column
+    @pytest.fixture(scope="class")
+    def facets(self):
+        return Cone([(2, 1), (0, 1)]).facets_containing((2, 1))
+
+    def test_w_is_read_at_the_pivots(self, facets):
+        assert forms._located_degree(facets, (4, 2), 0)[1] == (4,)
+        assert forms._located_degree(facets, (4, 2), 3)[1] == (1,)
+        # (4, 5) is (1, 2) mod 3, on the face's line mod 3 only
+        assert forms._located_degree(facets, (4, 5), 3)[1] == (1,)
+
+    @pytest.mark.parametrize("m, char", [((4, 3), 0), ((4, 3), 3), ((4, 5), 0), ((1, 1), 5)])
+    def test_a_degree_off_v_m_is_refused(self, facets, m, char):
+        with pytest.raises(AssertionError, match="escaped its own subspace"):
+            forms._located_degree(facets, m, char)
 
 
 class TestGradedPiece:
@@ -136,6 +155,15 @@ class TestWedgeMatrix:
                     assert all(type(x) is int for row in D for x in row)
                 if kind == "gf5":
                     assert all(0 <= x < 5 for row in D for x in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-9, 9), max_size=6), st.sampled_from([0, 2, 3, 5, 7]), st.data())
+    def test_random_vectors_match_the_sorting_sign(self, raw, char, data):
+        # the fill loop of wedge_matrix against a definition that never reads the template
+        field = field_of_characteristic(char)
+        w = [field.of(x) for x in raw] if char else raw
+        a = data.draw(st.integers(0, len(w)))
+        assert wedge_matrix(field, w, a) == tuple(map(tuple, reference_wedge(field, w, a)))
 
 
 class TestForms:
