@@ -165,7 +165,7 @@ def _typed_sources(cone, bound, p):
     """
     memo = {}
     for m, mask in cone.lattice_points(bound):
-        sub = _located_degree(cone._facets_of(mask), m, p)[0]
+        sub = _located_degree(cone._normals_of(mask), m, p)[0]
         got = memo.get(mask)
         if got is None:
             got = memo[mask] = _shift_outcome(cone, m, p)
@@ -190,8 +190,8 @@ def inverse_cartier_generator_check(cone, bound, p):
         if not any(m):
             continue
         pm = tuple(p * x for x in m)
-        w = _located_degree(cone._facets_of(mask), m, p)[1]
-        sub_pm = _located_degree(cone.facets_containing(pm), pm, p)[0]
+        w = _located_degree(cone._normals_of(mask), m, p)[1]
+        sub_pm = degree_subspace(cone, pm, p)
         if w != sub_pm.coordinates_of(m):
             violations.append(f"degree {m}: wedge coordinates drift under the shift")
         checked += 1
@@ -240,8 +240,12 @@ class CartierReport:
             )
         )
 
+    def payload(self):
+        """The report as JSON-ready data: its fields and the overall verdict."""
+        return asdict(self) | {"passed": self.passed}
+
     def to_json(self):
-        return json.dumps(asdict(self) | {"passed": self.passed}, indent=2, sort_keys=True)
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_text(self):
         lines = [

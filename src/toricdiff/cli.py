@@ -219,13 +219,8 @@ def _cmd_cartier(args):
     if level is not None:
         view = dataclasses.replace(report, levels=report.levels[level : level + 1])
     if args.format == "json":
-        payload = json.loads(view.to_json())
-        payload["generator_identity"] = {
-            "checked": gen.checked,
-            "passed": gen.passed,
-            "violations": list(gen.violations),
-        }
-        _emit_json(payload)
+        generator = {"checked": gen.checked, "passed": gen.passed, "violations": gen.violations}
+        _emit_json(view.payload() | {"generator_identity": generator})
     else:
         print(view.to_text())
         print(gen.to_text())

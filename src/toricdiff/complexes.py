@@ -88,7 +88,7 @@ def degree_complex(cone, m, char):
     """
     m = tuple(int(x) for x in m)
     field = field_of_characteristic(char)
-    sub, w = _located_degree(cone.facets_containing(m), m, char)
+    sub, w = _located_degree(cone._normals_of(cone._mask_of(m)), m, char)
     n = len(m)
     diffs = [wedge_matrix(field, w, a) for a in range(n)]
     for a in range(n - 1):
@@ -189,7 +189,7 @@ def _box_cohomology(cone, bound, char):
     n = cone.ambient_rank
     exact = (0,) * (n + 1)
     for m, mask in cone.lattice_points(bound):
-        sub, w = _located_degree(cone._facets_of(mask), m, char)
+        sub, w = _located_degree(cone._normals_of(mask), m, char)
         if any(w):
             _prove_koszul(len(w))
             yield m, exact
@@ -285,7 +285,7 @@ def oracle_full_complex(cone, bound, char):
     n = cone.ambient_rank
     data = []
     for m, mask in cone.lattice_points(bound):
-        sub, w = _located_degree(cone._facets_of(mask), m, char)
+        sub, w = _located_degree(cone._normals_of(mask), m, char)
         data.append((sub.dim, w))
     offsets = []
     totals = []

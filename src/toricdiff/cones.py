@@ -133,13 +133,8 @@ class Cone:
         got = self.__dict__.get("_facets")
         if got is not None:
             return got
-        if not self.is_full_dimensional():
-            raise NotPointedError(
-                "cone is not full dimensional (its dual contains a line), "
-                "so codimension-one faces are not indexed by dual rays"
-            )
         out = []
-        for idx, normal in enumerate(self.dual.rays):
+        for idx, normal in enumerate(self._normals_of(-1)):
             on_face = [u for u in self.rays if _dot(u, normal) == 0]
             span = saturate(on_face, self.ambient_rank)
             if span.rank != self.ambient_rank - 1:
@@ -151,15 +146,26 @@ class Cone:
 
     def facets_containing(self, point):
         """Facets through a lattice point of the cone; interior points give ()."""
+        mask = self._mask_of(point)
+        return tuple(f for f in self.facets if mask >> f.index & 1)
+
+    def _mask_of(self, point):
+        """Facet bitmask of a lattice point of the cone (see :meth:`lattice_points`)."""
         v = self._point(point)
         mask = self._point_mask(v)
         if mask is None:
             raise NotInConeError(f"{v} is not a lattice point of the cone")
-        return self._facets_of(mask)
+        return mask
 
-    def _facets_of(self, mask):
-        """The facets whose bits are set in a facet bitmask, in index order."""
-        return tuple(f for f in self.facets if mask >> f.index & 1)
+    def _normals_of(self, mask):
+        """Primitive normals (dual rays) of the facets set in a bitmask; -1 sets every bit."""
+        dual = self.dual
+        if dual._lineality:
+            raise NotPointedError(
+                "cone is not full dimensional (its dual contains a line), "
+                "so codimension-one faces are not indexed by dual rays"
+            )
+        return tuple(u for i, u in enumerate(dual.rays) if mask >> i & 1) if mask else ()
 
     def lattice_points(self, bound):
         """Iterator of ``(point, facet mask)`` over the cone points of ``[-bound, bound]^n``.

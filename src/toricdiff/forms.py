@@ -5,16 +5,15 @@ with m running over the lattice points of a full dimensional cone in the
 exponent lattice.  The forms decompose degree by degree, and the degree-m
 piece of the a-forms is the a-th wedge power of a single subspace V_m of
 k^n: the intersection of the spans of the codimension-one faces through m,
-reduced to the coefficient field.  An interior m sees no face and gets the
-whole of k^n.
+reduced to the coefficient field: the kernel of the facet normals through
+m (see :func:`facet_subspace`).  An interior m gets the whole of k^n.
 
-Everything here takes the cone on the exponent side.  V_m is cached per set
-of faces, so scanning a large box of degrees builds each distinct face set
-once per characteristic; a face subspace is rebuilt only on a miss of that
-cache.  The cache is bounded, so a long-lived process does not grow with
-every cone it sees.  The differential "wedge with m" is proven exact or
-zero once per dim V_m (:func:`_prove_koszul`), so a degree costs only the
-integer test that locates m in V_m.
+Everything here takes the cone on the exponent side.  V_m is cached on the
+normals through m, so a box of degrees solves each distinct set once per
+characteristic.  The cache is bounded, so a long-lived process does not
+grow with every cone it sees.  The differential "wedge with m" is proven
+exact or zero once per dim V_m (:func:`_prove_koszul`), so a degree costs
+only the integer test that locates m in V_m.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .linalg import field_of_characteristic, full_space, intersect, lattice_subspace
+from .linalg import field_of_characteristic, kernel, lattice_subspace
 
 __all__ = [
     "facet_subspace",
@@ -136,10 +135,13 @@ _VM_CACHE_SIZE = 4096
 
 
 def facet_subspace(facet, char):
-    """Subspace of k^n spanned by one codimension-one face.
+    """Subspace of k^n spanned by one codimension-one face: the reference.
 
     The face's saturated span lattice is tensored with the coefficient
     field; saturation guarantees the dimension survives reduction mod p.
+    Lemma: it is ``ker(u)`` for the face's primitive normal u.  The span lies
+    in ``ker(u)``, and both have dimension n-1, since u is not 0 mod p.  The
+    program uses the lemma (:func:`_kernel_of_normals`); tests use this.
     """
     return lattice_subspace(facet.span, field_of_characteristic(char))
 
@@ -147,26 +149,24 @@ def facet_subspace(facet, char):
 def degree_subspace(cone, m, char):
     """V_m: intersection of the face subspaces over the faces through m.
 
-    ``m`` must be a lattice point of the cone.  The intersection is taken
-    inside k^n after reduction (not by intersecting lattices first, which
-    could come out too small mod p).  The vector m itself always lies in
-    V_m, and that is asserted on every call.
+    ``m`` must be a lattice point of the cone.  V_m is found after reduction,
+    as the kernel of the reduced normals of those faces, not by intersecting
+    lattices first, which could come out too small mod p.  The vector m
+    itself always lies in V_m, and that is asserted on every call.
     """
-    facets = cone.facets_containing(m)
-    return _located_degree(facets, tuple(int(x) for x in m), char)[0]
+    normals = cone._normals_of(cone._mask_of(m))
+    return _located_degree(normals, tuple(int(x) for x in m), char)[0]
 
 
-def _located_degree(facets, m, char):
-    """V_m for the faces through m, with the coordinates w of m in its basis.
+def _located_degree(normals, m, char):
+    """V_m for the facet normals through m, with the coordinates w of m in its basis.
 
     In the reduced basis the coordinates of a vector of V_m are its entries
     at the pivot columns, so w is read off m, and ``m in V_m`` is asserted by
-    one integer identity per other column (see :func:`_free_columns`).
+    one integer identity per other column (see :func:`_kernel_of_normals`).
     Over GF(p), w is reduced mod p.
     """
-    n = len(m)
-    sub = _facet_intersection(facets, n, char)
-    scale, free = _free_columns(facets, n, char)
+    sub, scale, free = _kernel_of_normals(normals, len(m), char)
     w = tuple(m[i] % char if char else m[i] for i in sub.pivots)
     for j, col in free:
         gap = scale * m[j] - sum(map(mul, w, col))
@@ -176,30 +176,19 @@ def _located_degree(facets, m, char):
 
 
 @lru_cache(maxsize=_VM_CACHE_SIZE)
-def _free_columns(facets, n, char):
-    """``(scale, ((j, col_j), ...))``: the non-pivot columns of V_m as ints.
+def _kernel_of_normals(normals, n, char):
+    """``(V_m, scale, ((j, col_j), ...))`` for the facet normals through m.
 
-    ``col_j`` holds entry j of every basis row, times ``scale``, the lcm of
-    their denominators (1 over GF(p)).  A vector with coordinates w lies in
-    V_m exactly when ``scale * m_j == sum_i w_i * col_j[i]`` for each such j,
-    mod p over GF(p).  An interior degree (V_m = k^n) has none to check.
+    ``col_j`` holds entry j of every basis row for each non-pivot column j,
+    times ``scale``, the lcm of their denominators (1 over GF(p)).  A vector
+    with coordinates w lies in V_m exactly when ``scale * m_j == sum_i w_i *
+    col_j[i]`` for each such j, mod p over GF(p).  An interior degree has
+    none to check.  The key holds only ints, so no cone is kept alive.
     """
-    sub = _facet_intersection(facets, n, char)
+    sub = kernel(field_of_characteristic(char), normals, ncols=n)
     free = [j for j in range(n) if j not in sub.pivots]
     scale = lcm(*(row[j].denominator for row in sub.basis for j in free))
-    return scale, tuple((j, tuple(int(row[j] * scale) for row in sub.basis)) for j in free)
-
-
-@lru_cache(maxsize=_VM_CACHE_SIZE)
-def _facet_intersection(facets, n, char):
-    # keyed on the facets themselves, not the cone, so the cache keeps no cone alive
-    field = field_of_characteristic(char)
-    if not facets:
-        return full_space(field, n)
-    out = facet_subspace(facets[0], char)
-    for f in facets[1:]:
-        out = intersect(out, facet_subspace(f, char))
-    return out
+    return sub, scale, tuple((j, tuple(int(row[j] * scale) for row in sub.basis)) for j in free)
 
 
 # ---------------------------------------------------------------------------

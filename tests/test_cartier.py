@@ -201,9 +201,10 @@ class TestVerifyIsomorphism:
 
 
 def test_verification_keeps_no_cone_alive():
-    # the V_m cache is keyed on facets, so a dropped cone and its box scans
-    # go; the rays are unlike any other test's, since a cache keyed on equal
-    # cones would hold the first one it met and this one would still go
+    # the V_m cache is keyed on the facet normals as int tuples, so a dropped
+    # cone and its box scans go; the rays are unlike any other test's, since
+    # a cache keyed on equal cones would hold the first one it met and this
+    # one would still go
     cone = Cone([(1, 0), (4, 9)])
     ref = weakref.ref(cone)
     assert verify_isomorphism(cone, 2, 2).passed

@@ -179,15 +179,13 @@ class TestCohomologyTable:
             assert h == cohomology(degree_complex(cone, m, 3)), m
 
     def test_bounded_vm_caches_survive_eviction(self, corpus, monkeypatch):
-        assert forms._facet_intersection.cache_info().maxsize is not None
-        assert forms._free_columns.cache_info().maxsize is not None
+        assert forms._kernel_of_normals.cache_info().maxsize == forms._VM_CACHE_SIZE
         cone = corpus["square-3d"]
         warm = {char: cohomology_table(cone, 2, char) for char in (0, 3)}
         real = complexes._located_degree
 
         def evicting(*args):
-            forms._facet_intersection.cache_clear()
-            forms._free_columns.cache_clear()
+            forms._kernel_of_normals.cache_clear()
             return real(*args)
 
         monkeypatch.setattr(complexes, "_located_degree", evicting)

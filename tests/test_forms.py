@@ -79,19 +79,38 @@ class TestLocatedDegree:
     # V_m on the face through (2, 1) has the reduced basis (1, 1/2) over QQ
     # and (1, 2) over GF(3), so membership runs on a scaled column
     @pytest.fixture(scope="class")
-    def facets(self):
-        return Cone([(2, 1), (0, 1)]).facets_containing((2, 1))
+    def normals(self):
+        return tuple(f.normal for f in Cone([(2, 1), (0, 1)]).facets_containing((2, 1)))
 
-    def test_w_is_read_at_the_pivots(self, facets):
-        assert forms._located_degree(facets, (4, 2), 0)[1] == (4,)
-        assert forms._located_degree(facets, (4, 2), 3)[1] == (1,)
+    def test_w_is_read_at_the_pivots(self, normals):
+        assert forms._located_degree(normals, (4, 2), 0)[1] == (4,)
+        assert forms._located_degree(normals, (4, 2), 3)[1] == (1,)
         # (4, 5) is (1, 2) mod 3, on the face's line mod 3 only
-        assert forms._located_degree(facets, (4, 5), 3)[1] == (1,)
+        assert forms._located_degree(normals, (4, 5), 3)[1] == (1,)
 
     @pytest.mark.parametrize("m, char", [((4, 3), 0), ((4, 3), 3), ((4, 5), 0), ((1, 1), 5)])
-    def test_a_degree_off_v_m_is_refused(self, facets, m, char):
+    def test_a_degree_off_v_m_is_refused(self, normals, m, char):
         with pytest.raises(AssertionError, match="escaped its own subspace"):
-            forms._located_degree(facets, m, char)
+            forms._located_degree(normals, m, char)
+
+
+def test_verification_never_takes_the_reference_path(monkeypatch):
+    # V_m is the kernel of the facet normals on every path; the saturated
+    # face spans and their intersections are the reference only
+    from toricdiff import cartier, cones, complexes, linalg
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the reference path ran")
+
+    for module, name in ((forms, "lattice_subspace"), (linalg, "intersect"), (cones, "saturate")):
+        monkeypatch.setattr(module, name, not_reached)
+    cone = Cone([(0, 1), (3, -1), (1, 1)]).dual
+    assert degree_subspace(cone, (0, 0), 3).dim == 1
+    assert complexes.poincare_check(cone, 2).passed
+    assert cartier.verify_isomorphism(cone, 1, 3).passed
+    assert cartier.inverse_cartier_generator_check(cone, 1, 3).passed
+    sums = tuple(map(sum, zip(*complexes.cohomology_table(cone, 1, 2).entries.values())))
+    assert complexes.oracle_full_complex(cone, 1, 2) == sums
 
 
 class TestGradedPiece:

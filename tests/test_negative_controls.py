@@ -23,8 +23,8 @@ def zero_w_at(degree):
         real = complexes._located_degree
         fired = []
 
-        def located(facets, m, char):
-            sub, w = real(facets, m, char)
+        def located(normals, m, char):
+            sub, w = real(normals, m, char)
             if tuple(m) == degree:
                 fired.append(m)
                 w = tuple(x * 0 for x in w)

@@ -8,6 +8,8 @@ asserts only identities that follow from the definitions, so it exercises
 the whole pipeline without any trusted reference values.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,13 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests.structural import run_structural_suite
-from toricdiff import cones
+from tests.structural import random_exponent_cones, run_structural_suite
+from toricdiff import cones, forms
+from toricdiff.forms import facet_subspace
 from toricdiff.linalg import (
     GF,
     QQ,
     Subspace,
     _primitive,
+    field_of_characteristic,
+    full_space,
     hnf,
     imat,
     intersect,
@@ -214,3 +219,32 @@ def test_structural_battery():
     cones, checks = run_structural_suite(seed=20260819, cone_count=200)
     assert cones == 200
     assert checks > 5000
+
+
+def test_vm_is_the_kernel_of_the_normals():
+    # the box paths take V_m as the kernel of the reduced facet normals; hold
+    # it against the paper's definition, the intersection of the saturated
+    # face spans reduced to the field, on arbitrary sets of facets (faces or
+    # not) of random cones and two cones with a line
+    rng = random.Random(20261019)
+    with_lines = [
+        cones.Cone([(1, 0), (-1, 0), (0, 1)]),
+        cones.Cone([(1, 0, 0), (-1, 0, 0), (0, 1, 2), (0, 2, -1)]),
+    ]
+    cases = 0
+    for cone in itertools.chain(random_exponent_cones(rng, 60, max_rank=5), with_lines):
+        n, facets = cone.ambient_rank, cone.facets
+        for f in facets:
+            assert gcd(*f.normal) == 1, f.normal
+        subsets = [s for k in range(len(facets) + 1) for s in itertools.combinations(facets, k)]
+        if len(subsets) > 40:
+            subsets = [(), facets, *rng.sample(subsets, 38)]
+        for chosen in subsets:
+            normals = tuple(f.normal for f in chosen)
+            for char in (0, 2, 3, 5, 7):
+                want = full_space(field_of_characteristic(char), n)
+                for f in chosen:
+                    want = intersect(want, facet_subspace(f, char))
+                assert forms._kernel_of_normals(normals, n, char)[0] == want, (cone, normals, char)
+                cases += 1
+    assert cases > 3000
