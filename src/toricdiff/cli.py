@@ -174,19 +174,12 @@ def _cmd_vm(args):
 
 
 def _cmd_cohomology(args):
-    from .complexes import cohomology_table
+    from .writer import write_cohomology
 
     cone = _cone_from_args(args)
     if args.p:
         GF(args.p)
-    table = cohomology_table(cone, args.bound, args.p)
-    if args.format == "json":
-        print(table.to_json())
-    elif args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        for m in table.degrees():
-            print(f"{_vec(m)}: h={_vec(table.entries[m])}")
+    write_cohomology(sys.stdout, cone, args.bound, args.p, args.format)
     return 0
 
 
@@ -314,9 +307,26 @@ def _build_parser():
     return parser
 
 
+def _join_negative_degree(argv):
+    """``--degree -1,0`` as ``--degree=-1,0``.
+
+    argparse takes a word that starts with "-" for an option unless it reads
+    as a negative number, and ``-1,0`` does not; joined by "=" it is the
+    value of ``--degree`` on every Python version.  Words after ``--`` stay.
+    """
+    out = []
+    for word in argv:
+        negative = word[:1] == "-" and word[1:2].isdigit()
+        if negative and out and out[-1] == "--degree" and "--" not in out:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_degree(sys.argv[1:] if argv is None else argv))
     # ConeSpecError, NotPointedError, NotInConeError and NoVertexError are
     # all ValueErrors.
     try:

@@ -19,18 +19,24 @@ Three paths compute cohomology, each on purpose:
   mod p over GF(p).  The demos and the Cartier target complex at pm use it,
   and the tests hold it against the box path as a cross-check;
 - :func:`oracle_full_complex` does not split by degree and ranks whole-box
-  sparse matrices, an independent check of the grading argument.
+  sparse matrices, an independent check of the grading argument.  It keeps
+  ``(dim V_m, w)`` per degree and one level's pivots, never a matrix.
 
-Degrees stream by in lexicographic order and a check reads them in one
-pass, holding no table of the box.  Tables and reports serialize to JSON and
-to CSV with one row per degree.  Output is byte-stable: degrees are sorted,
-hashes are over the CSV bytes, of a table or of the stream alike.
+Degrees stream by in lexicographic order and no command holds a table of
+the box: a check reads them in one pass, and the ``cohomology`` command
+writes each row as it arrives (:mod:`toricdiff.writer`, with the CSV row
+format of :class:`_CsvRows`).  :class:`CohomologyTable` is the library
+form, and the reference the tests hold the streamed bytes against.  Tables
+and reports serialize to JSON and to CSV with one row per degree.  Output
+is byte-stable: degrees are sorted, hashes are over the CSV bytes, of a
+table or of the stream alike.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 # The interpreter's built-in sha256 gives the same digest as OpenSSL's, and
@@ -136,21 +142,29 @@ class CohomologyTable:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def _rows(self):
-        degrees = self.degrees()
-        return _CsvRows(((m, self.entries[m]) for m in degrees), len(degrees[0]))
-
     def to_csv(self):
-        rows = self._rows()
-        return rows.header + "".join(_csv_line(m, h) for m, h in rows)
+        degrees = self.degrees()
+        lines = (_csv_line(m, self.entries[m]) for m in degrees)
+        return _csv_header(len(degrees[0])) + "".join(lines)
 
     def table_hash(self):
         """sha256 of :meth:`to_csv`, fed line by line so the text is never built."""
-        return self._rows().hexdigest()
+        degrees = self.degrees()
+        return _CsvRows(((m, self.entries[m]) for m in degrees), len(degrees[0])).hexdigest()
 
 
 def _csv_line(m, h):
     return ",".join(str(x) for x in (*m, *h)) + "\n"
+
+
+def _csv_header(n):
+    return _csv_line([f"m{i + 1}" for i in range(n)], [f"h{a}" for a in range(n + 1)])
+
+
+@lru_cache(maxsize=64)
+def _csv_form(h):
+    """The CSV line of a row with this h, as a ``%d`` format for its m."""
+    return "%d," * (len(h) - 1) + ",".join(map(str, h)) + "\n"
 
 
 class _CsvRows:
@@ -158,12 +172,11 @@ class _CsvRows:
 
     def __init__(self, rows, n):
         self.rows, self.count = rows, 0
-        self.header = _csv_line([f"m{i + 1}" for i in range(n)], [f"h{a}" for a in range(n + 1)])
-        self.digest = sha256(self.header.encode())
+        self.digest = sha256(_csv_header(n).encode())
 
     def __iter__(self):
         for m, h in self.rows:
-            self.digest.update(_csv_line(m, h).encode())
+            self.digest.update((_csv_form(h) % m).encode())
             self.count += 1
             yield m, h
 
@@ -274,12 +287,15 @@ def poincare_check(cone, bound):
 def oracle_full_complex(cone, bound, char):
     """Total cohomology of the box-truncated complex, without degree splitting.
 
-    Assembles each differential of the truncated complex as a single sparse
-    matrix over all degrees at once and computes ranks by online sparse
-    elimination.  Returns the total dimension vector ``h(0..n)``; comparing
-    it against the column sums of :func:`cohomology_table` holds sparse
-    elimination over the whole box against the identities proven once per
-    dimension, and checks the grading argument on the way.
+    Each differential of the truncated complex is a single sparse matrix
+    over all degrees at once, ranked by online sparse elimination.  The box
+    is scanned once into ``(dim V_m, w)`` per degree; each level's columns
+    are then generated from that list and streamed into :func:`sparse_rank`,
+    so the only matrix data held is one level's pivots.  Returns the total
+    dimension vector ``h(0..n)``; comparing it against the column sums of
+    :func:`cohomology_table` holds sparse elimination over the whole box
+    against the identities proven once per dimension, and checks the
+    grading argument on the way.
     """
     field = field_of_characteristic(char)
     n = cone.ambient_rank
@@ -287,24 +303,21 @@ def oracle_full_complex(cone, bound, char):
     for m, mask in cone.lattice_points(bound):
         sub, w = _located_degree(cone._normals_of(mask), m, char)
         data.append((sub.dim, w))
-    offsets = []
-    totals = []
-    for a in range(n + 1):
-        offs = []
-        t = 0
-        for d, _ in data:
-            offs.append(t)
-            t += comb(d, a)
-        offsets.append(offs)
-        totals.append(t)
-    ranks = []
-    for a in range(n):
-        cols = []
-        for k, (d, w) in enumerate(data):
-            if all(x == field.zero for x in w):
-                continue
+    totals = [sum(comb(d, a) for d, _ in data) for a in range(n + 1)]
+    ranks = [sparse_rank(field, _oracle_columns(field, data, a)) for a in range(n)]
+    return _homology(totals, ranks)
+
+
+def _oracle_columns(field, data, a):
+    """Nonzero columns of the whole-box differential out of level a, degree by degree.
+
+    The rows of a degree's block at level a+1 start after those of every
+    degree before it, C(dim V_m, a+1) rows each.
+    """
+    base = 0
+    for d, w in data:
+        if any(c != field.zero for c in w):
             target = {J: j for j, J in enumerate(wedge_subsets(d, a + 1))}
-            base = offsets[a + 1][k]
             for I in wedge_subsets(d, a):
                 col = {}
                 for pos, c in enumerate(w):
@@ -314,6 +327,5 @@ def oracle_full_complex(cone, bound, char):
                     sign = -1 if sum(1 for x in I if x < pos) % 2 else 1
                     col[base + target[J]] = field.mul(field.of(sign), c)
                 if col:
-                    cols.append(col)
-        ranks.append(sparse_rank(field, cols))
-    return _homology(totals, ranks)
+                    yield col
+        base += comb(d, a + 1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricdiff.cli import ConeSpecError, exponent_cone, load_cone_spec, main
+from toricdiff.complexes import cohomology_table
 from tests.conftest import CONE_DIR
 
 
@@ -21,6 +22,7 @@ def run_cli(*argv, capsys=None):
 CONE = str(CONE_DIR / "a1-quadric.json")
 ORTHANT = str(CONE_DIR / "orthant-2.json")
 HALFPLANE = str(CONE_DIR / "halfplane-degenerate.json")
+CORPUS = sorted(path.stem for path in CONE_DIR.glob("*.json"))
 
 
 class TestSpecLoading:
@@ -107,6 +109,32 @@ class TestCommands:
         entries = {tuple(row["degree"]): tuple(row["h"]) for row in json.loads(out)["cohomology"]}
         assert entries[(2, 2)] == (1, 2, 1)
 
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_cohomology_streams_the_table_bytes(self, name, capsys):
+        # the command writes rows as the box streams; the table it no longer
+        # builds is the reference for every format
+        path = CONE_DIR / f"{name}.json"
+        cone = exponent_cone(*load_cone_spec(path))
+        for char in (0, 2, 3, 5):
+            for bound in range(4):
+                table = cohomology_table(cone, bound, char)
+                text = "".join(
+                    f"({','.join(map(str, m))}): h=({','.join(map(str, table.entries[m]))})\n"
+                    for m in table.degrees()
+                )
+                expected = {"text": text, "csv": table.to_csv(), "json": table.to_json() + "\n"}
+                for form, want in expected.items():
+                    argv = ("cohomology", path, "--p", char, "--bound", bound, "--format", form)
+                    assert run_cli(*argv, capsys=capsys) == (0, want, ""), (name, char, bound, form)
+
+    @pytest.mark.parametrize("form", ["text", "csv", "json"])
+    def test_cohomology_of_a_low_dimensional_cone_writes_nothing(self, form, tmp_path, capsys):
+        spec = tmp_path / "ray.json"
+        spec.write_text('{"lattice_rank": 2, "rays": [[0, 1]], "space": "M"}')
+        code, out, err = run_cli("cohomology", spec, "--bound", "1", "--format", form, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "full dimensional" in err
+
     def test_poincare_pass(self, capsys):
         code, out, _ = run_cli("poincare", ORTHANT, "--bound", "3", capsys=capsys)
         assert code == 0
@@ -191,6 +219,22 @@ class TestExitCodes:
     def test_degree_outside(self, capsys):
         code, _, err = run_cli("vm", CONE, "--degree", "0,1", capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name, flags, status",
+        [
+            ("halfplane-degenerate", (), 0),
+            ("halfplane-degenerate", ("--format", "json"), 0),
+            ("orthant-2", ("--p", "2"), 2),  # outside the cone: the benchmark's control
+        ],
+    )
+    def test_negative_degree_needs_no_equals_sign(self, name, flags, status, capsys):
+        cone = CONE_DIR / f"{name}.json"
+        joined = run_cli("vm", cone, *flags, "--degree=-1,0", capsys=capsys)
+        assert run_cli("vm", cone, *flags, "--degree", "-1,0", capsys=capsys) == joined
+        code, out, err = joined
+        assert code == status
+        assert err.startswith("error:") if status else out and not err
 
     def test_malformed_degree(self, capsys):
         code, _, err = run_cli("vm", CONE, "--degree", "1,x", capsys=capsys)

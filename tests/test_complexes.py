@@ -243,6 +243,23 @@ class TestOracle:
         assert oracle_full_complex(orthant, 1, 0) == (1, 0, 0)
         assert oracle_full_complex(quadric, 3, 0) == (1, 0, 0)
 
+    def test_each_level_streams_its_columns(self, corpus, monkeypatch):
+        # one sparse_rank call per level, each fed a one-shot iterator of columns
+        real = complexes.sparse_rank
+        fed = []
+
+        def ranked(field, columns):
+            assert not isinstance(columns, (list, tuple)) and iter(columns) is columns
+            fed.append(columns)
+            return real(field, columns)
+
+        cone = corpus["square-3d"]
+        want = oracle_full_complex(cone, 2, 3)
+        monkeypatch.setattr(complexes, "sparse_rank", ranked)
+        assert oracle_full_complex(cone, 2, 3) == want
+        assert len(fed) == cone.ambient_rank
+        assert all(next(columns, None) is None for columns in fed)
+
     def test_matches_degreewise_sums(self, quadric, orthant):
         for cone in (quadric, orthant):
             for char in (0, 2, 3):

@@ -26,9 +26,10 @@ QUADRIC = str(CONE_DIR / "a1-quadric.json")
 SQUARE = str(CONE_DIR / "square-3d.json")
 
 PROGRAM = {"toricdiff.cartier", "toricdiff.complexes", "toricdiff.forms"}
+WRITER = {"toricdiff.writer"}
 OPENSSL = {"hashlib", "_hashlib"}
-BEYOND_CONES = PROGRAM | OPENSSL
-BEYOND_TABLES = {"toricdiff.cartier"} | OPENSSL
+BEYOND_CONES = PROGRAM | WRITER | OPENSSL
+BEYOND_TABLES = {"toricdiff.cartier"} | WRITER | OPENSSL
 
 PROBE = """
 import json, sys
@@ -64,10 +65,14 @@ def added_modules(*argv):
         pytest.param(("dual", QUADRIC), BEYOND_CONES, id="dual"),
         pytest.param(("facets", QUADRIC), BEYOND_CONES, id="facets"),
         pytest.param(("vm", QUADRIC, "--degree", "1,0"), BEYOND_TABLES, id="vm"),
-        pytest.param(("cohomology", QUADRIC, "--p", "2", "--bound", "2"), BEYOND_TABLES, id="cohomology"),
+        pytest.param(
+            ("cohomology", QUADRIC, "--p", "2", "--bound", "2"),
+            BEYOND_TABLES - WRITER,
+            id="cohomology",
+        ),
         pytest.param(("oracle", SQUARE, "--p", "0", "--bound", "2"), BEYOND_TABLES, id="oracle"),
         pytest.param(("poincare", QUADRIC, "--bound", "2"), BEYOND_TABLES, id="poincare"),
-        pytest.param(("cartier", QUADRIC, "--p", "2", "--bound", "1"), OPENSSL, id="cartier"),
+        pytest.param(("cartier", QUADRIC, "--p", "2", "--bound", "1"), WRITER | OPENSSL, id="cartier"),
     ],
 )
 def test_command_loads_only_what_it_runs(argv, absent):
@@ -79,6 +84,7 @@ def test_command_loads_only_what_it_runs(argv, absent):
 def test_cartier_loads_everything():
     """The control: the probe sees every module a command does load."""
     assert PROGRAM <= added_modules("cartier", QUADRIC, "--p", "2", "--bound", "1")
+    assert WRITER <= added_modules("cohomology", QUADRIC, "--p", "2", "--bound", "2")
 
 
 THREADS = """
