@@ -12,17 +12,21 @@ target box comes from identities proven for the wedge matrices themselves
 (see :mod:`toricdiff.complexes`); nothing is assumed from the statements
 being verified.
 
-The matrix work runs once per degree type and is replayed for every source
-degree of that type.  The type of a source degree m is its facet mask, the
-set of facets through m, read from the scan of the source box.  For
-p > 0, ``<u, pm> = p<u, m>``, so pm lies on exactly the facets through m,
-and every coordinate of pm is 0 mod p.  The mask therefore fixes V_m, V_pm
-and the complex at pm, which are all the shift matrices and the target
-complex depend on.  The shift respects wedge products, so :func:`phi` takes
-V_m, V_pm and the change of basis between them once per type and builds
-every level as a wedge power of that one map.  Violations are still reported
-per source degree, and ``m in V_m`` is still asserted for each one.  The
-target box streams by: only the cohomology at its p-divisible degrees stays.
+:func:`verify_isomorphism` scans one box, that of the targets.  Its
+source degrees are the p-divisible degrees md of the ``p*bound`` box, each
+read as m = md/p, in the same order: ``<u, m> = <u, md>/p``, so every such
+m is a cone point of the ``bound`` box.  The matrix work runs once per
+degree type and is replayed for every source degree of that type.  The
+type of a source degree m is its facet mask, the set of facets through m,
+classified once per source degree.  For p > 0, ``<u, pm> = p<u, m>``, so pm
+lies on exactly the facets through m, and every coordinate of pm is 0 mod
+p.  The mask therefore fixes V_m, V_pm and the complex at pm, which are
+all the shift matrices and the target complex depend on.  The shift
+respects wedge products, so :func:`phi` takes V_m, V_pm and the change of
+basis between them once per type and builds every level as a wedge power
+of that one map.  Violations are still reported per source degree, and
+``m in V_m`` is still asserted for each one.  The target box streams by:
+only the source degrees and the cohomology at their multiples stay.
 """
 
 from __future__ import annotations
@@ -154,24 +158,6 @@ def _shift_outcome(cone, m, p):
     return tuple(out)
 
 
-def _typed_sources(cone, bound, p):
-    """Source degrees of the box, each with V_m and the outcome of its type.
-
-    The type of m is its facet mask from the box scan (see the module
-    docstring).  :func:`_shift_outcome` runs once per type and is replayed
-    for the other degrees of the type.  V_m is located from the faces the
-    mask names, without classifying m again, and the one coordinate solve
-    there asserts ``m in V_m`` for every source degree.
-    """
-    memo = {}
-    for m, mask in cone.lattice_points(bound):
-        sub = _located_degree(cone._normals_of(mask), m, p)[0]
-        got = memo.get(mask)
-        if got is None:
-            got = memo[mask] = _shift_outcome(cone, m, p)
-        yield m, sub, got
-
-
 def inverse_cartier_generator_check(cone, bound, p):
     """On generators the inverse map reads ``dx^m -> x^((p-1)m) dx^m``.
 
@@ -292,19 +278,24 @@ def verify_isomorphism(cone, bound, p):
     GF(p)  # refuses a composite modulus before the scan
     n = cone.ambient_rank
     rows = _CsvRows(_box_cohomology(cone, p * bound, p), n)
-    shifted = {}  # cohomology at the degrees pm, one per source degree m
+    sources = []  # (m, cohomology at pm) for every source degree m, in scan order
     violations = []
     for md, h in rows:
         if not any(x % p for x in md):
-            shifted[md] = h
+            sources.append((tuple(x // p for x in md), h))
         elif any(h):
             violations.append(
                 f"degree {md}: cohomology {h} away from the multiples of {p}"
             )
     concentration_ok = not violations
     levels = tuple(LevelSummary(a, 0, True, True, True, 0, 0) for a in range(n + 1))
-    for m, sub, outcome in _typed_sources(cone, bound, p):
-        hs = shifted[tuple(p * x for x in m)]
+    outcomes = {}  # the outcome of each degree type, keyed by facet mask
+    for m, hs in sources:
+        mask = cone._mask_of(m)
+        sub = _located_degree(cone._normals_of(mask), m, p)[0]
+        outcome = outcomes.get(mask)
+        if outcome is None:
+            outcome = outcomes[mask] = _shift_outcome(cone, m, p)
         for lv, (closed, split, induced) in zip(levels, outcome):
             a = lv.a
             src_dim = comb(sub.dim, a)

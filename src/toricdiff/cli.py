@@ -24,7 +24,7 @@ import sys
 # the complexes, forms or Cartier modules.  linalg is imported before cones
 # and its numpy: compiled from source (with no bytecode cache) after numpy
 # has loaded, it adds about 1.3 MB to the peak RSS of every request.
-from .linalg import GF
+from . import linalg  # noqa: F401
 
 # numpy runs only the integer box scan, which never calls BLAS, but OpenBLAS
 # starts a thread per core when numpy loads.  The CLI owns its process, so it
@@ -153,8 +153,6 @@ def _cmd_vm(args):
     from .forms import degree_subspace
 
     cone = _cone_from_args(args)
-    if args.p:
-        GF(args.p)
     m = _parse_degree(args.degree, cone.ambient_rank)
     sub = degree_subspace(cone, m, args.p)
     if args.format == "json":
@@ -177,8 +175,6 @@ def _cmd_cohomology(args):
     from .writer import write_cohomology
 
     cone = _cone_from_args(args)
-    if args.p:
-        GF(args.p)
     write_cohomology(sys.stdout, cone, args.bound, args.p, args.format)
     return 0
 
@@ -224,8 +220,6 @@ def _cmd_oracle(args):
     from .complexes import _box_cohomology, oracle_full_complex
 
     cone = _cone_from_args(args)
-    if args.p:
-        GF(args.p)
     totals = oracle_full_complex(cone, args.bound, args.p)
     sums = (0,) * (cone.ambient_rank + 1)
     for _, h in _box_cohomology(cone, args.bound, args.p):

@@ -19,8 +19,10 @@ Three paths compute cohomology, each on purpose:
   mod p over GF(p).  The demos and the Cartier target complex at pm use it,
   and the tests hold it against the box path as a cross-check;
 - :func:`oracle_full_complex` does not split by degree and ranks whole-box
-  sparse matrices, an independent check of the grading argument.  It keeps
-  ``(dim V_m, w)`` per degree and one level's pivots, never a matrix.
+  sparse matrices, an independent check of the grading argument.  Their
+  blocks are the same ``wedge_matrix`` blocks whose identities the box path
+  relies on, so the oracle checks those matrices too.  It keeps
+  ``(dim V_m, w)`` per degree and one level's pivots, never a whole matrix.
 
 Degrees stream by in lexicographic order and no command holds a table of
 the box: a check reads them in one pass, and the ``cohomology`` command
@@ -49,7 +51,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .forms import _located_degree, _prove_koszul, wedge_matrix, wedge_subsets
+from .forms import _located_degree, _prove_koszul, wedge_matrix
 from .linalg import field_of_characteristic, mat_mul, rank, sparse_rank
 
 __all__ = [
@@ -290,12 +292,13 @@ def oracle_full_complex(cone, bound, char):
     Each differential of the truncated complex is a single sparse matrix
     over all degrees at once, ranked by online sparse elimination.  The box
     is scanned once into ``(dim V_m, w)`` per degree; each level's columns
-    are then generated from that list and streamed into :func:`sparse_rank`,
-    so the only matrix data held is one level's pivots.  Returns the total
-    dimension vector ``h(0..n)``; comparing it against the column sums of
+    are then read off each degree's ``wedge_matrix`` block in turn and
+    streamed into :func:`sparse_rank`, so the matrix data held is one
+    degree's block and one level's pivots.  Returns the total dimension
+    vector ``h(0..n)``; comparing it against the column sums of
     :func:`cohomology_table` holds sparse elimination over the whole box
-    against the identities proven once per dimension, and checks the
-    grading argument on the way.
+    against the identities proven once per dimension, on the very matrices
+    those identities are about, and checks the grading argument on the way.
     """
     field = field_of_characteristic(char)
     n = cone.ambient_rank
@@ -311,21 +314,16 @@ def oracle_full_complex(cone, bound, char):
 def _oracle_columns(field, data, a):
     """Nonzero columns of the whole-box differential out of level a, degree by degree.
 
-    The rows of a degree's block at level a+1 start after those of every
-    degree before it, C(dim V_m, a+1) rows each.
+    A degree's block is its own ``wedge_matrix(field, w, a)``, the matrix
+    whose identities :func:`_prove_koszul` proves, with its rows shifted
+    past those of every degree before it, C(dim V_m, a+1) rows each.
     """
     base = 0
     for d, w in data:
-        if any(c != field.zero for c in w):
-            target = {J: j for j, J in enumerate(wedge_subsets(d, a + 1))}
-            for I in wedge_subsets(d, a):
-                col = {}
-                for pos, c in enumerate(w):
-                    if c == field.zero or pos in I:
-                        continue
-                    J = tuple(sorted(I + (pos,)))
-                    sign = -1 if sum(1 for x in I if x < pos) % 2 else 1
-                    col[base + target[J]] = field.mul(field.of(sign), c)
+        if any(w):
+            D = wedge_matrix(field, w, a)
+            for column in zip(*D):
+                col = {base + i: c for i, c in enumerate(column) if c}
                 if col:
                     yield col
         base += comb(d, a + 1)

@@ -607,7 +607,7 @@ def sparse_rank(field, columns):
     pivots = {}
     r = 0
     for col in columns:
-        row = {k: field.of(v) for k, v in col.items() if field.of(v) != field.zero}
+        row = {k: x for k, v in col.items() if (x := field.of(v)) != field.zero}
         while row:
             c = min(row)
             if c in pivots:

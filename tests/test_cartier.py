@@ -140,22 +140,43 @@ class TestVerifyIsomorphism:
             if any(x % 2 for x in m):
                 assert h == (0, 0, 0)
 
-    def test_typed_sources_match_direct_computation(self, corpus):
-        # the checks compute the shift once per facet mask; on this
-        # non-simplicial cone a wrong key replays an outcome with the wrong
-        # V_m dimensions, so compare every source degree with its own outcome
+    def test_each_source_degree_gets_the_outcome_of_its_type(self, corpus, monkeypatch):
+        # the check computes the shift once per facet mask and replays it; on
+        # this non-simplicial cone a wrong key replays an outcome with the
+        # wrong V_m dimensions, so every type must be computed, once, and its
+        # outcome must be that of each of its source degrees
         cone = corpus["square-3d"]
-        seen = 0
-        for m, _, outcome in cartier._typed_sources(cone, 2, 3):
-            assert outcome == cartier._shift_outcome(cone, m, 3), m
-            seen += 1
-        assert seen == len(cone_points(cone, 2))
+        real = cartier._shift_outcome
+        computed = {}
 
-    def test_typed_sources_read_v_m_from_the_mask(self, corpus):
-        # V_m comes from the faces the scan mask names, not from classifying m
-        cone = corpus["square-3d"]
-        for m, sub, _ in cartier._typed_sources(cone, 2, 3):
-            assert sub == degree_subspace(cone, m, 3), m
+        def shift_outcome(cone_, m, p):
+            mask = cone._mask_of(m)
+            assert mask not in computed, m
+            computed[mask] = got = real(cone_, m, p)
+            return got
+
+        monkeypatch.setattr(cartier, "_shift_outcome", shift_outcome)
+        assert verify_isomorphism(cone, 2, 3).passed
+        sources = cone_points(cone, 2)
+        assert set(computed) == {cone._mask_of(m) for m in sources}
+        for m in sources:
+            assert computed[cone._mask_of(m)] == real(cone, m, 3), m
+
+    def test_scans_only_the_target_box(self, quadric, monkeypatch):
+        # the source degrees are read off the p-divisible degrees of the p*B box
+        sources = len(cone_points(quadric, 2))
+        real = Cone.lattice_points
+        bounds = []
+
+        def lattice_points(self, bound):
+            bounds.append(bound)
+            return real(self, bound)
+
+        monkeypatch.setattr(Cone, "lattice_points", lattice_points)
+        report = verify_isomorphism(quadric, 2, 3)
+        assert bounds == [6]
+        assert report.passed
+        assert [lv.sources_checked for lv in report.levels] == [sources] * 3
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_hash_is_the_table_hash_of_the_target_box(self, corpus, p):

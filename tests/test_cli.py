@@ -212,9 +212,21 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_composite_p(self, capsys):
-        code, _, err = run_cli("cartier", CONE, "--p", "4", "--bound", "1", capsys=capsys)
-        assert code == 2
-        assert "not prime" in err
+        # every command with --p refuses a modulus that is not prime before
+        # it writes anything, whatever the output format
+        commands = [
+            ("vm", "--degree", "1,0"),
+            ("cohomology", "--bound", "1"),
+            ("cohomology", "--bound", "1", "--format", "csv"),
+            ("cohomology", "--bound", "1", "--format", "json"),
+            ("oracle", "--bound", "1"),
+            ("cartier", "--bound", "1"),
+        ]
+        for command, *flags in commands:
+            for p in ("4", "-3"):
+                code, out, err = run_cli(command, CONE, "--p", p, *flags, capsys=capsys)
+                assert (code, out) == (2, ""), (command, flags, p)
+                assert "not prime" in err, (command, flags, p)
 
     def test_degree_outside(self, capsys):
         code, _, err = run_cli("vm", CONE, "--degree", "0,1", capsys=capsys)

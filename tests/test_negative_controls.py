@@ -4,14 +4,15 @@ Each row runs a command through :func:`toricdiff.cli.main` twice.  Without
 the mutation the verdict must read PASS and the exit status be 0; with it,
 the same verdict line must read FAIL and the exit status be 1.  The
 mutations sit at seams that any way of computing the numbers must go
-through: the coordinates w of a degree m in V_m (which fix its differential)
-and the ranks of the whole-box oracle.  Each mutation records the degree or
-level it changed, so a row whose mutation never fires fails too.
+through: the coordinates w of a degree m in V_m (which fix its
+differential), the wedge matrices built from them, and the ranks of the
+whole-box oracle.  Each mutation records what it changed, so a row whose
+mutation never fires fails too.
 """
 
 import pytest
 
-from toricdiff import complexes
+from toricdiff import complexes, forms
 from toricdiff.cli import main
 from tests.conftest import CONE_DIR
 
@@ -57,6 +58,31 @@ def rank_off_by_one_at(level):
     return mutate
 
 
+def wedge_sign_flipped(d, a):
+    """The first entry of the wedge template of level a of k^d changes sign.
+
+    The box path has already proven the template of k^d, so only the
+    matrices built from it afterwards see the flip.
+    """
+
+    def mutate(monkeypatch):
+        real = forms._wedge_template
+        fired = []
+
+        def template(d_, a_):
+            out = real(d_, a_)
+            if (d_, a_) == (d, a):
+                fired.append((d, a))
+                (row, col, odd, pos), *rest = out
+                out = ((row, col, not odd, pos), *rest)
+            return out
+
+        monkeypatch.setattr(forms, "_wedge_template", template)
+        return fired
+
+    return mutate
+
+
 def cone(name):
     return str(CONE_DIR / f"{name}.json")
 
@@ -73,6 +99,12 @@ ROWS = [
         rank_off_by_one_at(1),
         "agreement:",
         id="oracle-sparse-rank-off-by-one",
+    ),
+    pytest.param(
+        ["oracle", cone("square-3d"), "--p", "0", "--bound", "2"],
+        wedge_sign_flipped(3, 1),
+        "agreement:",
+        id="oracle-wedge-template-sign-flipped",
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
