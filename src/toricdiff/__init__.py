@@ -62,7 +62,6 @@ _EXPORTS = {
         "CheckResult",
         "LevelSummary",
         "PhiMap",
-        "inverse_cartier_generator_check",
         "phi",
         "verify_isomorphism",
     ),

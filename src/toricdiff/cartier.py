@@ -12,27 +12,28 @@ target box comes from identities proven for the wedge matrices themselves
 (see :mod:`toricdiff.complexes`); nothing is assumed from the statements
 being verified.
 
-:func:`verify_isomorphism` scans one box, that of the targets.  Its
-source degrees are the p-divisible degrees md of the ``p*bound`` box, each
-read as m = md/p, in the same order: ``<u, m> = <u, md>/p``, so every such
-m is a cone point of the ``bound`` box.  The matrix work runs once per
+:func:`verify_isomorphism` is the whole check, and it scans each box once:
+the p-divisible degrees md of the ``p*bound`` box are the multiples p*m of
+the cone points m of the ``bound`` box, in the same order (``<u, m> =
+<u, md>/p``), so the two scans run in step.  The matrix work runs once per
 degree type and is replayed for every source degree of that type.  The
 type of a source degree m is its facet mask, the set of facets through m,
-classified once per source degree.  For p > 0, ``<u, pm> = p<u, m>``, so pm
-lies on exactly the facets through m, and every coordinate of pm is 0 mod
-p.  The mask therefore fixes V_m, V_pm and the complex at pm, which are
-all the shift matrices and the target complex depend on.  The shift
-respects wedge products, so :func:`phi` takes V_m, V_pm and the change of
-basis between them once per type and builds every level as a wedge power
-of that one map.  Violations are still reported per source degree, and
+read off its scan.  For p > 0, ``<u, pm> = p<u, m>``, so pm lies on
+exactly the facets through m, and every coordinate of pm is 0 mod p.  The
+mask therefore fixes V_m, V_pm and the complex at pm, which are all the
+shift matrices and the target complex depend on.  The shift respects
+wedge products, so :func:`phi` takes V_m, V_pm and the change of basis
+between them once per type and builds every level as a wedge power of
+that one map.  Violations are still reported per source degree, and
 ``m in V_m`` is still asserted for each one.  The target box streams by:
-only the source degrees and the cohomology at their multiples stay.
+only its p-divisible degrees and the cohomology there stay.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from math import comb
 
 from .complexes import _box_cohomology, _CsvRows, degree_complex
@@ -43,7 +44,6 @@ __all__ = [
     "PhiMap",
     "phi",
     "CheckResult",
-    "inverse_cartier_generator_check",
     "LevelSummary",
     "CartierReport",
     "verify_isomorphism",
@@ -158,32 +158,6 @@ def _shift_outcome(cone, m, p):
     return tuple(out)
 
 
-def inverse_cartier_generator_check(cone, bound, p):
-    """On generators the inverse map reads ``dx^m -> x^((p-1)m) dx^m``.
-
-    The cone enters the identity only through the wedge coordinates of m:
-    m in V_m, located from the faces through m, must have the same
-    coordinates as m in V_pm, so that ``dx^m`` and the ``dx^m`` factor of
-    the shifted form are one basis element.  The faces through m come from
-    the scan of the source box and those through pm from classifying pm on
-    its own, so a shift that moved V_m would still show.  The monomial part,
-    ``x^(pm - m) = x^((p-1)m)``, holds for any integer m and any p; it is a
-    property of the printer, tested with it.
-    """
-    violations = []
-    checked = 0
-    for m, mask in cone.lattice_points(bound):
-        if not any(m):
-            continue
-        pm = tuple(p * x for x in m)
-        w = _located_degree(cone._normals_of(mask), m, p)[1]
-        sub_pm = degree_subspace(cone, pm, p)
-        if w != sub_pm.coordinates_of(m):
-            violations.append(f"degree {m}: wedge coordinates drift under the shift")
-        checked += 1
-    return CheckResult("generator identity", checked, tuple(violations))
-
-
 # ---------------------------------------------------------------------------
 # the full isomorphism report
 
@@ -214,12 +188,14 @@ class CartierReport:
     target_degrees: int
     violations: tuple
     table_hash: str
+    generator: CheckResult
 
     @property
     def passed(self):
         return (
             self.concentration_ok
             and not self.violations
+            and self.generator.passed
             and all(
                 lv.chain_map_ok and lv.split_ok and lv.isomorphism_ok
                 for lv in self.levels
@@ -227,8 +203,12 @@ class CartierReport:
         )
 
     def payload(self):
-        """The report as JSON-ready data: its fields and the overall verdict."""
-        return asdict(self) | {"passed": self.passed}
+        """The report as JSON-ready data: its fields, the overall verdict, and
+        the generator identity with its own verdict as ``generator_identity``."""
+        data = asdict(self) | {"passed": self.passed}
+        generator = data.pop("generator")
+        del generator["name"]
+        return data | {"generator_identity": generator | {"passed": self.generator.passed}}
 
     def to_json(self):
         return json.dumps(self.payload(), indent=2, sort_keys=True)
@@ -259,40 +239,50 @@ class CartierReport:
 def verify_isomorphism(cone, bound, p):
     """Full verification that the shift hits exactly the cohomology.
 
-    Two halves, neither assumed: (i) every degree in the enlarged box
+    Three parts, none assumed: (i) every degree in the enlarged box
     ``[-p*bound, p*bound]^n`` that is not a multiple of p
     carries zero cohomology; (ii) for every source degree m in the
     ``bound`` box and every level a, the shift lands on cocycles, its
     composite with the projection is the identity, and the induced map
     into cohomology at pm is bijective (injective by rank, surjective by
-    dimension count against the cohomology at pm).
+    dimension count against the cohomology at pm); (iii) the generator
+    identity, reported as ``generator``.
 
     The chain-map flag cannot fail on a wrong shift matrix.  The target
     differential at pm is wedging with pm in V_pm, and pm is zero in V_pm
     over GF(p), so that differential is the zero matrix whatever the shift
     is; what the flag can catch is a wrong complex at pm.  A wrong shift
     shows in the splitting flag instead.
+
+    On generators the inverse map reads ``dx^m -> x^((p-1)m) dx^m``.  For
+    m != 0, m in V_m must have the same wedge coordinates as m in V_pm, so
+    that ``dx^m`` and the ``dx^m`` factor of the shifted form are one basis
+    element.  V_pm comes from classifying pm on its own, not from the mask
+    of m, so a shift that moved V_m would still show.  The monomial part
+    ``x^((p-1)m)`` holds for any integer m and any p; it is a property of
+    the form printer, tested with it.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     GF(p)  # refuses a composite modulus before the scan
     n = cone.ambient_rank
     rows = _CsvRows(_box_cohomology(cone, p * bound, p), n)
-    sources = []  # (m, cohomology at pm) for every source degree m, in scan order
+    targets = []  # (md, cohomology at md) for every p-divisible md, in scan order
     violations = []
     for md, h in rows:
         if not any(x % p for x in md):
-            sources.append((tuple(x // p for x in md), h))
+            targets.append((md, h))
         elif any(h):
-            violations.append(
-                f"degree {md}: cohomology {h} away from the multiples of {p}"
-            )
+            violations.append(f"degree {md}: cohomology {h} away from the multiples of {p}")
     concentration_ok = not violations
     levels = tuple(LevelSummary(a, 0, True, True, True, 0, 0) for a in range(n + 1))
     outcomes = {}  # the outcome of each degree type, keyed by facet mask
-    for m, hs in sources:
-        mask = cone._mask_of(m)
-        sub = _located_degree(cone._normals_of(mask), m, p)[0]
+    drifts = []
+    sources = zip_longest(targets, cone.lattice_points(bound), fillvalue=((), None))
+    for (pm, hs), (m, mask) in sources:
+        if pm != tuple(p * x for x in m):
+            raise AssertionError(f"internal error: source {m} does not match target {pm}")
+        sub, w = _located_degree(cone._normals_of(mask), m, p)
         outcome = outcomes.get(mask)
         if outcome is None:
             outcome = outcomes[mask] = _shift_outcome(cone, m, p)
@@ -316,6 +306,8 @@ def verify_isomorphism(cone, bound, p):
                     f"degree {m}, a={a}: induced rank {induced} of {src_dim}, "
                     f"cohomology dimension {hs[a]}"
                 )
+        if any(m) and w != degree_subspace(cone, pm, p).coordinates_of(m):
+            drifts.append(f"degree {m}: wedge coordinates drift under the shift")
     return CartierReport(
         cone.rays,
         p,
@@ -326,4 +318,6 @@ def verify_isomorphism(cone, bound, p):
         rows.count,
         tuple(violations),
         rows.hexdigest(),
+        # every source degree but the origin, which is always a cone point
+        CheckResult("generator identity", len(targets) - 1, tuple(drifts)),
     )

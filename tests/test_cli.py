@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -296,6 +297,35 @@ class TestExitCodes:
         code, out, _ = run_cli("facets", HALFPLANE, capsys=capsys)
         assert code == 0
         assert out.splitlines() == ["facet 0: normal (0,1), span [(1,0)]"]
+
+
+class TestClosedStdout:
+    """A reader that goes away is not bad input: exit 141, nothing on stderr."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "cones/square-3d.json", "--p", "3", "--bound", "2", "--format", "json"),
+            ("cohomology", "cones/square-3d.json", "--p", "7", "--bound", "40", "--format", "csv"),
+            ("cartier", "cones/a1-quadric.json", "--p", "2", "--bound", "1"),
+        ],
+        ids=["oracle", "cohomology", "cartier"],
+    )
+    def test_exit_141_without_a_message(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toricdiff", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                cwd=str(CONE_DIR.parent),
+                env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestDeterminism:

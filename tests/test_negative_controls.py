@@ -12,16 +12,16 @@ mutation never fires fails too.
 
 import pytest
 
-from toricdiff import complexes, forms
+from toricdiff import cartier, complexes, forms
 from toricdiff.cli import main
 from tests.conftest import CONE_DIR
 
 
-def zero_w_at(degree):
-    """Located degrees give w = 0 at ``degree``, as if m vanished in V_m."""
+def zero_w_at(module, degree):
+    """Degrees located by ``module`` give w = 0 at ``degree``, as if m vanished in V_m."""
 
     def mutate(monkeypatch):
-        real = complexes._located_degree
+        real = module._located_degree
         fired = []
 
         def located(normals, m, char):
@@ -31,7 +31,7 @@ def zero_w_at(degree):
                 w = tuple(x * 0 for x in w)
             return sub, w
 
-        monkeypatch.setattr(complexes, "_located_degree", located)
+        monkeypatch.setattr(module, "_located_degree", located)
         return fired
 
     return mutate
@@ -90,7 +90,7 @@ def cone(name):
 ROWS = [
     pytest.param(
         ["poincare", cone("square-3d"), "--bound", "2"],
-        zero_w_at((0, 1, 0)),
+        zero_w_at(complexes, (0, 1, 0)),
         "poincare check over QQ",
         id="poincare-w-zeroed-at-a-nonzero-degree",
     ),
@@ -108,9 +108,21 @@ ROWS = [
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        zero_w_at((1, 0)),
+        zero_w_at(complexes, (1, 0)),
         "off-multiple degrees carry no cohomology",
         id="cartier-concentration-w-zeroed-off-the-multiples",
+    ),
+    pytest.param(
+        ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
+        zero_w_at(cartier, (1, 1)),
+        "generator identity:",
+        id="cartier-generator-identity-w-zeroed-at-a-source",
+    ),
+    pytest.param(
+        ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
+        zero_w_at(cartier, (1, 1)),
+        "overall:",
+        id="cartier-overall-w-zeroed-at-a-source",
     ),
 ]
 
