@@ -6,27 +6,25 @@ multiples of p are expected to carry nothing.  The degree shift
 ``phi: (m' in V_m) x^m -> (m' in V_pm) x^{pm}`` realizes the comparison:
 it is a split injection (projection onto the p-divisible degrees splits
 it) and induces an isomorphism onto the cohomology of the pushed-forward
-complex.  The shift, its splitting and the induced ranks are checked by
-honest matrix computation over a box of degrees, and the cohomology of the
-target box comes from identities proven for the wedge matrices themselves
-(see :mod:`toricdiff.complexes`); nothing is assumed from the statements
-being verified.
+complex.  The shift and its splitting are checked as matrices, and the
+cohomology of the target box, which the chain-map and induced-rank flags
+read, comes from identities proven for the wedge matrices themselves (see
+:mod:`toricdiff.complexes`); nothing is assumed from the statements being
+verified.
 
 :func:`verify_isomorphism` is the whole check, and it scans each box once:
 the p-divisible degrees md of the ``p*bound`` box are the multiples p*m of
 the cone points m of the ``bound`` box, in the same order (``<u, m> =
-<u, md>/p``), so the two scans run in step.  The matrix work runs once per
-degree type and is replayed for every source degree of that type.  The
-type of a source degree m is its facet mask, the set of facets through m,
-read off its scan.  For p > 0, ``<u, pm> = p<u, m>``, so pm lies on
-exactly the facets through m, and every coordinate of pm is 0 mod p.  The
-mask therefore fixes V_m, V_pm and the complex at pm, which are all the
-shift matrices and the target complex depend on.  The shift respects
-wedge products, so :func:`phi` takes V_m, V_pm and the change of basis
-between them once per type and builds every level as a wedge power of
-that one map.  Violations are still reported per source degree, and
-``m in V_m`` is still asserted for each one.  The target box streams by:
-only its p-divisible degrees and the cohomology there stay.
+<u, md>/p``), so the two scans run in step.  The shift matrices are built
+once per degree type, the facet mask of the source degree m read off its
+scan.  For p > 0, ``<u, pm> = p<u, m>``, so pm lies on exactly the facets
+through m, and the mask fixes V_m and V_pm, which are all the shift
+depends on.  The shift respects wedge products, so :func:`phi` takes V_m,
+V_pm and the change of basis between them once per type and builds every
+level as a wedge power of that one map.  The other flags are read per
+source degree off the cohomology row at pm, violations are reported per
+source degree, and ``m in V_m`` is asserted for each one.  The target box
+streams by: only its p-divisible degrees and the cohomology there stay.
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from math import comb
 
-from .complexes import _box_cohomology, _CsvRows, degree_complex
+from .complexes import _box_cohomology, _CsvRows
 from .forms import _located_degree, degree_subspace, wedge_matrix, wedge_subsets
-from .linalg import GF, identity_matrix, mat_mul, rank, zero_matrix
+from .linalg import GF, identity_matrix, mat_mul, rank
 
 __all__ = [
     "PhiMap",
@@ -134,30 +132,6 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def _shift_outcome(cone, m, p):
-    """Chain map, splitting and induced rank of the shift at m, level by level.
-
-    Entry a is ``(closed, split, induced)``: whether the target
-    differential kills the image of the shift (vacuous at the top level,
-    which has no differential), whether the shift matrix is the identity,
-    and the rank the shift induces in cohomology at pm.  Everything is
-    multiplied out from one :func:`phi` call and the complex at pm.
-    """
-    field = GF(p)
-    n = cone.ambient_rank
-    target = degree_complex(cone, tuple(p * x for x in m), p)
-    out = []
-    for shift in phi(cone, m, p):
-        a, M = shift.a, shift.matrix
-        closed = a == n or not any(map(any, mat_mul(field, target.differentials[a], M)))
-        split = M == identity_matrix(len(M))
-        boundaries = target.differentials[a - 1] if a > 0 else zero_matrix(target.dims[0], 0)
-        stacked = tuple(r + b for r, b in zip(M, boundaries, strict=True))
-        induced = rank(field, stacked) - rank(field, boundaries)
-        out.append((closed, split, induced))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the full isomorphism report
 
@@ -248,11 +222,16 @@ def verify_isomorphism(cone, bound, p):
     dimension count against the cohomology at pm); (iii) the generator
     identity, reported as ``generator``.
 
-    The chain-map flag cannot fail on a wrong shift matrix.  The target
-    differential at pm is wedging with pm in V_pm, and pm is zero in V_pm
-    over GF(p), so that differential is the zero matrix whatever the shift
-    is; what the flag can catch is a wrong complex at pm.  A wrong shift
-    shows in the splitting flag instead.
+    The chain-map and isomorphism flags read the cohomology row at pm that
+    the target scan already holds.  The differential at pm is wedging with
+    w, the coordinates of pm in V_pm; it is zero exactly when that row is
+    the whole wedge algebra ``C(dim V_m, a)``, and otherwise the complex at
+    pm is exact.  So a zero differential makes every level closed, and the
+    shift, invertible on every level (:func:`phi` asserts it), induces
+    rank ``C(dim V_m, a)``; a nonzero one leaves only the top level closed
+    and induces rank 0.  Over GF(p) pm is zero in V_pm, so these flags see
+    a wrong complex at pm, not a wrong shift matrix: that shows in the
+    splitting flag, the one flag read off :func:`phi`, once per facet mask.
 
     On generators the inverse map reads ``dx^m -> x^((p-1)m) dx^m``.  For
     m != 0, m in V_m must have the same wedge coordinates as m in V_pm, so
@@ -276,26 +255,29 @@ def verify_isomorphism(cone, bound, p):
             violations.append(f"degree {md}: cohomology {h} away from the multiples of {p}")
     concentration_ok = not violations
     levels = tuple(LevelSummary(a, 0, True, True, True, 0, 0) for a in range(n + 1))
-    outcomes = {}  # the outcome of each degree type, keyed by facet mask
+    types = {}  # per facet mask: whether each level of the shift is the identity, and C(dim V_m, a)
     drifts = []
     sources = zip_longest(targets, cone.lattice_points(bound), fillvalue=((), None))
     for (pm, hs), (m, mask) in sources:
         if pm != tuple(p * x for x in m):
             raise AssertionError(f"internal error: source {m} does not match target {pm}")
         sub, w = _located_degree(cone._normals_of(mask), m, p)
-        outcome = outcomes.get(mask)
-        if outcome is None:
-            outcome = outcomes[mask] = _shift_outcome(cone, m, p)
-        for lv, (closed, split, induced) in zip(levels, outcome):
+        kind = types.get(mask)
+        if kind is None:
+            split = [s.matrix == identity_matrix(len(s.matrix)) for s in phi(cone, m, p)]
+            kind = types[mask] = split, tuple(comb(sub.dim, a) for a in range(n + 1))
+        split, whole = kind
+        zero = hs == whole  # the whole wedge algebra survives: the differential at pm is zero
+        for lv, src_dim, split_a in zip(levels, whole, split):
             a = lv.a
-            src_dim = comb(sub.dim, a)
+            induced = src_dim if zero else 0
             lv.sources_checked += 1
             lv.source_dim_total += src_dim
             lv.cohomology_dim_total += hs[a]
-            if not closed:
+            if not (zero or a == n):
                 lv.chain_map_ok = False
                 violations.append(f"degree {m}, a={a}: shift image is not closed")
-            if not split:
+            if not split_a:
                 lv.split_ok = False
                 violations.append(
                     f"degree {m}, a={a}: projection composed with the shift is not the identity"

@@ -200,7 +200,10 @@ def _cmd_cartier(args):
     cone = _cone_from_args(args)
     level = None
     if args.a != "all":
-        level = int(args.a)
+        try:
+            level = int(args.a)
+        except ValueError:
+            raise ConeSpecError(f"wedge degree {args.a!r} is not an integer or all") from None
         if level < 0 or level > cone.ambient_rank:
             raise ConeSpecError(f"wedge degree {level} out of range")
     report = verify_isomorphism(cone, args.bound, args.p)

@@ -15,9 +15,9 @@ Three paths compute cohomology, each on purpose:
   cohomology is the whole wedge algebra on V_m.  What each degree costs is
   the integer test ``m in V_m`` that locates w;
 - a single degree (:func:`degree_complex`, :func:`cohomology`) builds the
-  matrices, checks d∘d = 0 and ranks them: Bareiss over QQ, elimination
-  mod p over GF(p).  The demos and the Cartier target complex at pm use it,
-  and the tests hold it against the box path as a cross-check;
+  matrices, checks d∘d = 0 and ranks them: Bareiss over QQ, the reduced
+  row echelon form over GF(p).  The demos use it, and the tests hold it
+  against the box path as a cross-check;
 - :func:`oracle_full_complex` does not split by degree and ranks whole-box
   sparse matrices, an independent check of the grading argument.  Their
   blocks are the same ``wedge_matrix`` blocks whose identities the box path

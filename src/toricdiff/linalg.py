@@ -8,8 +8,8 @@ makes equality a plain comparison of entries.
 
 Zero-row and zero-column matrices are legal everywhere.  A matrix with no
 rows is ``()`` and carries no width, so functions that need one take it as
-``ncols``.  Ranks over QQ are computed fraction-free (Bareiss); ranks over
-GF(p) by ordinary elimination on residues.
+``ncols``.  Ranks over QQ are computed fraction-free (Bareiss); over GF(p)
+by the same reduced row echelon form that spans subspaces.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from math import gcd, lcm
 __all__ = [
     "imat",
     "identity_matrix",
-    "zero_matrix",
     "hnf",
     "left_kernel",
     "SaturatedLattice",
@@ -76,10 +75,6 @@ def _as_int(x):
 
 def identity_matrix(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def zero_matrix(nrows, ncols):
-    return ((0,) * ncols,) * nrows
 
 
 def _transpose(M, width):
@@ -467,38 +462,12 @@ def _rank_bareiss(rows):
     return r
 
 
-def _rank_modp(rows, p):
-    rows = [[int(x) % p for x in r] for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        for i in range(r + 1, m):
-            f = rows[i][col] * inv % p
-            if f:
-                ri = rows[i]
-                top = rows[r]
-                for j in range(col, n):
-                    ri[j] = (ri[j] - f * top[j]) % p
-        r += 1
-    return r
-
-
 def rank(field, M):
-    """Rank of a matrix over ``field``; fraction-free over QQ."""
-    rows = [list(r) for r in M]
-    if not rows or not rows[0]:
-        return 0
-    if field.characteristic == 0:
-        return _rank_bareiss([_primitive(r) for r in rows])
-    return _rank_modp(rows, field.characteristic)
+    """Rank of a matrix over ``field``: fraction-free over QQ, the row count
+    of the reduced row echelon form over GF(p)."""
+    if field.characteristic:
+        return len(_rref(field, _field_rows(field, M))[0])
+    return _rank_bareiss([_primitive(r) for r in M])
 
 
 def kernel(field, M, ncols=None):

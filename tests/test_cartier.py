@@ -4,12 +4,15 @@ import json
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 
 import toricdiff.cartier as cartier
+import toricdiff.complexes as complexes
+import toricdiff.linalg as linalg
 from toricdiff.cartier import PhiMap, phi, verify_isomorphism
-from toricdiff.complexes import DegreeComplex, cohomology_table, degree_complex
+from toricdiff.complexes import DegreeComplex, cohomology_table
 from toricdiff.cones import Cone, NotInConeError
 from toricdiff.forms import degree_subspace
 from toricdiff.linalg import GF
@@ -137,26 +140,52 @@ class TestVerifyIsomorphism:
                 assert h == (0, 0, 0)
 
     def test_each_source_degree_gets_the_outcome_of_its_type(self, corpus, monkeypatch):
-        # the check computes the shift once per facet mask and replays it; on
-        # this non-simplicial cone a wrong key replays an outcome with the
-        # wrong V_m dimensions, so every type must be computed, once, and its
-        # outcome must be that of each of its source degrees
+        # the shift matrices are built once per facet mask, at a source degree
+        # of that mask; on this non-simplicial cone a wrong key would replay
+        # the splitting of a type with the wrong V_m dimensions
         cone = corpus["square-3d"]
-        real = cartier._shift_outcome
-        computed = {}
+        real = cartier.phi
+        masks = []
 
-        def shift_outcome(cone_, m, p):
-            mask = cone._mask_of(m)
-            assert mask not in computed, m
-            computed[mask] = got = real(cone_, m, p)
-            return got
+        def counted_phi(cone_, m, p):
+            masks.append(cone._mask_of(m))
+            return real(cone_, m, p)
 
-        monkeypatch.setattr(cartier, "_shift_outcome", shift_outcome)
+        monkeypatch.setattr(cartier, "phi", counted_phi)
         assert verify_isomorphism(cone, 2, 3).passed
-        sources = cone_points(cone, 2)
-        assert set(computed) == {cone._mask_of(m) for m in sources}
-        for m in sources:
-            assert computed[cone._mask_of(m)] == real(cone, m, 3), m
+        assert sorted(masks) == sorted({cone._mask_of(m) for m in cone_points(cone, 2)})
+
+    def test_ranks_only_the_shift_and_builds_no_degree_complex(self, corpus, monkeypatch):
+        # the cohomology at pm is read off the target scan, so the only ranks
+        # are phi's invertibility checks, one per level and facet mask
+        cone = corpus["square-3d"]
+        real_phi, real_rank = cartier.phi, linalg.rank
+        inside, ranked, built = [], [], []
+
+        def tracked_phi(cone_, m, p):
+            inside.append(cone._mask_of(m))
+            try:
+                return real_phi(cone_, m, p)
+            finally:
+                inside.pop()
+
+        def tracked_rank(field, M):
+            ranked.append(inside[-1] if inside else None)
+            return real_rank(field, M)
+
+        def no_complex(*args):
+            built.append(args[0])
+            return DegreeComplex(*args)
+
+        monkeypatch.setattr(cartier, "phi", tracked_phi)
+        for module in (linalg, cartier, complexes):
+            monkeypatch.setattr(module, "rank", tracked_rank)
+        monkeypatch.setattr(complexes, "DegreeComplex", no_complex)
+        assert verify_isomorphism(cone, 2, 3).passed
+        assert built == []
+        n = cone.ambient_rank
+        masks = {cone._mask_of(m) for m in cone_points(cone, 2)}
+        assert Counter(ranked) == {mask: n + 1 for mask in masks}
 
     def test_scans_each_box_once(self, quadric, monkeypatch):
         # the p*B box of targets streams first, then the B box of sources is
@@ -321,25 +350,31 @@ class TestNegativeControls:
         assert [lv.chain_map_ok for lv in report.levels] == [True, True, True]
 
     def test_perturbed_target_differential_fails_chain_map(self, orthant, monkeypatch):
-        def broken_complex(cone, m, char):
-            got = degree_complex(cone, m, char)
-            if cone.facets_containing(m) == ():
-                first = [list(row) for row in got.differentials[0]]
-                first[0][0] = 1
-                first = tuple(map(tuple, first))
-                got = DegreeComplex(got.degree, char, got.dims, (first,) + got.differentials[1:])
-            return got
+        # w made nonzero at the interior targets pm: their complex is then
+        # exact, so below the top level the shift image is not closed and
+        # the shift induces nothing in cohomology
+        real = complexes._located_degree
 
-        monkeypatch.setattr(cartier, "degree_complex", broken_complex)
+        def located(normals, m, char):
+            sub, w = real(normals, m, char)
+            if not normals and not any(x % self.P for x in m):
+                w = (1,) + w[1:]
+            return sub, w
+
+        monkeypatch.setattr(complexes, "_located_degree", located)
         report = verify_isomorphism(orthant, self.BOUND, self.P)
         assert not report.passed
-        assert [lv.chain_map_ok for lv in report.levels] == [False, True, True]
+        assert [lv.chain_map_ok for lv in report.levels] == [False, False, True]
+        assert [lv.isomorphism_ok for lv in report.levels] == [False, False, False]
         assert report.violations == tuple(
             v
             for m in self.INTERIOR
             for v in (
                 f"degree {m}, a=0: shift image is not closed",
-                f"degree {m}, a=1: induced rank 1 of 2, cohomology dimension 2",
+                f"degree {m}, a=0: induced rank 0 of 1, cohomology dimension 0",
+                f"degree {m}, a=1: shift image is not closed",
+                f"degree {m}, a=1: induced rank 0 of 2, cohomology dimension 0",
+                f"degree {m}, a=2: induced rank 0 of 1, cohomology dimension 0",
             )
         )
 

@@ -253,7 +253,13 @@ class TestExitCodes:
         code, _, err = run_cli("vm", CONE, "--degree", "1,x", capsys=capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("level, message", [("9", "wedge degree 9 out of range"), ("x", "'x'")])
+    @pytest.mark.parametrize(
+        "level, message",
+        [
+            ("9", "wedge degree 9 out of range"),
+            pytest.param("x", "wedge degree 'x' is not an integer or all", id="x-'x'"),
+        ],
+    )
     def test_bad_wedge_level_refused_before_the_verification(self, capsys, monkeypatch, level, message):
         from toricdiff import cartier
 

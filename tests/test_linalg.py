@@ -173,6 +173,11 @@ class TestRank:
     def test_mod_p(self):
         assert rank(GF(2), [[2, 4], [1, 1]]) == 1
         assert rank(GF(3), [[2, 4], [1, 1]]) == 2
+        # Fraction entries are reduced like subspace and sparse_rank reduce
+        # them: 1/2 is the unit 2 mod 3, and 1/3 has no residue mod 3
+        assert rank(GF(3), [[Fraction(1, 2)]]) == 1
+        with pytest.raises(ZeroDivisionError):
+            rank(GF(3), [[Fraction(1, 3)]])
 
     def test_empty(self):
         assert rank(QQ, ()) == 0

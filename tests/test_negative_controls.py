@@ -5,10 +5,14 @@ the mutation the verdict must read PASS and the exit status be 0; with it,
 the same verdict line must read FAIL and the exit status be 1.  The
 mutations sit at seams that any way of computing the numbers must go
 through: the coordinates w of a degree m in V_m (which fix its
-differential), the wedge matrices built from them, and the ranks of the
-whole-box oracle.  Each mutation records what it changed, so a row whose
-mutation never fires fails too.
+differential), the wedge matrices built from them, the shift matrices of
+:func:`toricdiff.cartier.phi`, and the ranks of the whole-box oracle.
+Each mutation records what it changed, so a row whose mutation never
+fires fails too.
 """
+
+import dataclasses
+import re
 
 import pytest
 
@@ -17,8 +21,8 @@ from toricdiff.cli import main
 from tests.conftest import CONE_DIR
 
 
-def zero_w_at(module, degree):
-    """Degrees located by ``module`` give w = 0 at ``degree``, as if m vanished in V_m."""
+def w_at(module, degree, change):
+    """Degrees located by ``module`` give w = ``change(w)`` at ``degree``."""
 
     def mutate(monkeypatch):
         real = module._located_degree
@@ -28,10 +32,43 @@ def zero_w_at(module, degree):
             sub, w = real(normals, m, char)
             if tuple(m) == degree:
                 fired.append(m)
-                w = tuple(x * 0 for x in w)
+                w = change(w)
             return sub, w
 
         monkeypatch.setattr(module, "_located_degree", located)
+        return fired
+
+    return mutate
+
+
+def zeroed(w):
+    """w = 0, as if m vanished in V_m."""
+    return tuple(x * 0 for x in w)
+
+
+def nonzero(w):
+    """A first coordinate of 1, as if m did not vanish in V_m."""
+    return (1,) + w[1:]
+
+
+def sheared_shift_at(degree):
+    """The level-1 shift matrix at ``degree`` gains an entry above the
+    diagonal: still invertible, no longer the identity."""
+
+    def mutate(monkeypatch):
+        real = cartier.phi
+        fired = []
+
+        def shifted(cone, m, p):
+            out = real(cone, m, p)
+            if tuple(m) == degree:
+                fired.append(m)
+                M = [list(row) for row in out[1].matrix]
+                M[0][1] = 1
+                out = (out[0], dataclasses.replace(out[1], matrix=tuple(map(tuple, M))), *out[2:])
+            return out
+
+        monkeypatch.setattr(cartier, "phi", shifted)
         return fired
 
     return mutate
@@ -87,10 +124,15 @@ def cone(name):
     return str(CONE_DIR / f"{name}.json")
 
 
+def level_flag(a, flag):
+    """The verdict of one flag on the per-level line of wedge level a."""
+    return rf"a={a}: sources=.*{flag}"
+
+
 ROWS = [
     pytest.param(
         ["poincare", cone("square-3d"), "--bound", "2"],
-        zero_w_at(complexes, (0, 1, 0)),
+        w_at(complexes, (0, 1, 0), zeroed),
         "poincare check over QQ",
         id="poincare-w-zeroed-at-a-nonzero-degree",
     ),
@@ -108,38 +150,59 @@ ROWS = [
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        zero_w_at(complexes, (1, 0)),
+        w_at(complexes, (1, 0), zeroed),
         "off-multiple degrees carry no cohomology",
         id="cartier-concentration-w-zeroed-off-the-multiples",
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        zero_w_at(cartier, (1, 1)),
+        w_at(cartier, (1, 1), zeroed),
         "generator identity:",
         id="cartier-generator-identity-w-zeroed-at-a-source",
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        zero_w_at(cartier, (1, 1)),
+        w_at(cartier, (1, 1), zeroed),
         "overall:",
         id="cartier-overall-w-zeroed-at-a-source",
+    ),
+    pytest.param(
+        ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
+        sheared_shift_at((1, 1)),
+        level_flag(1, "splitting"),
+        id="cartier-splitting-shift-sheared-at-a-source",
+    ),
+    pytest.param(
+        ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
+        w_at(complexes, (2, 2), nonzero),
+        level_flag(0, "chain map"),
+        id="cartier-chain-map-w-nonzero-at-a-target",
+    ),
+    pytest.param(
+        ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
+        w_at(complexes, (2, 2), nonzero),
+        level_flag(2, "isomorphism"),
+        id="cartier-isomorphism-w-nonzero-at-a-target",
     ),
 ]
 
 
-def verdict_line(out, verdict):
-    lines = [line for line in out.splitlines() if verdict in line]
-    assert len(lines) == 1, out
-    return lines[0]
+def verdict_of(out, verdict):
+    """PASS or FAIL: the first such word after ``verdict``, a pattern that one
+    line of the output matches."""
+    pattern = re.compile(rf"{verdict}.*?\b(PASS|FAIL)\b")
+    found = [m[1] for m in map(pattern.search, out.splitlines()) if m]
+    assert len(found) == 1, out
+    return found[0]
 
 
 @pytest.mark.parametrize("argv, mutate, verdict", ROWS)
 def test_mutation_turns_the_verdict_to_fail(argv, mutate, verdict, monkeypatch, capsys):
     assert main(argv) == 0
-    assert "PASS" in verdict_line(capsys.readouterr().out, verdict)
+    assert verdict_of(capsys.readouterr().out, verdict) == "PASS"
     fired = mutate(monkeypatch)
     code = main(argv)
     out = capsys.readouterr().out
     assert fired, "the mutation never fired"
-    assert "FAIL" in verdict_line(out, verdict)
+    assert verdict_of(out, verdict) == "FAIL"
     assert code == 1
