@@ -5,6 +5,11 @@ n), ``rays`` (a list of nonzero integer vectors of length n), and ``space``
 ("N" when the rays generate the defining cone, so the exponent cone is the
 dual; "M" when they generate the exponent cone directly; default "N").
 
+``main`` builds the exponent cone and hands it to the command, which
+returns its exit status, its JSON document and its text lines; ``main``
+prints the one that ``--format`` asks for.  ``cohomology`` alone streams:
+it writes its rows as the box is scanned and returns neither.
+
 Exit status: 0 when the requested computation or verification succeeds,
 1 when a verification ran to completion and found a violation, 2 for bad
 input (unreadable file, malformed spec, point outside the cone, composite
@@ -20,7 +25,7 @@ import json
 import os
 import sys
 
-# Every command builds a cone, so cones and linalg load here.  Each handler
+# main builds every command's cone, so cones and linalg load here.  Each handler
 # imports the rest of what it runs, so that `dual` and `facets` never load
 # the complexes, forms or Cartier modules.  linalg is imported before cones
 # and its numpy: compiled from source (with no bytecode cache) after numpy
@@ -113,91 +118,64 @@ def _parse_degree(text, n):
     return m
 
 
-def _emit_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _cmd_dual(cone, args):
+    doc = {"lattice_rank": cone.ambient_rank, "rays": [list(r) for r in cone.rays]}
+    return 0, doc, map(_vec, cone.rays)
 
 
-def _cmd_dual(args):
-    cone = _cone_from_args(args)
-    if args.format == "json":
-        _emit_json({"lattice_rank": cone.ambient_rank, "rays": [list(r) for r in cone.rays]})
-    else:
-        for ray in cone.rays:
-            print(_vec(ray))
-    return 0
-
-
-def _cmd_facets(args):
-    cone = _cone_from_args(args)
+def _cmd_facets(cone, args):
     facets = cone.facets
-    if args.format == "json":
-        _emit_json(
+    doc = {
+        "facets": [
             {
-                "facets": [
-                    {
-                        "index": f.index,
-                        "normal": list(f.normal),
-                        "span": [list(row) for row in f.span.basis],
-                    }
-                    for f in facets
-                ]
+                "index": f.index,
+                "normal": list(f.normal),
+                "span": [list(row) for row in f.span.basis],
             }
-        )
-    else:
-        for f in facets:
-            span = ", ".join(_vec(row) for row in f.span.basis)
-            print(f"facet {f.index}: normal {_vec(f.normal)}, span [{span}]")
-    return 0
+            for f in facets
+        ]
+    }
+    lines = (
+        f"facet {f.index}: normal {_vec(f.normal)}, span [{', '.join(map(_vec, f.span.basis))}]"
+        for f in facets
+    )
+    return 0, doc, lines
 
 
-def _cmd_vm(args):
+def _cmd_vm(cone, args):
     from .forms import degree_subspace
 
-    cone = _cone_from_args(args)
     m = _parse_degree(args.degree, cone.ambient_rank)
     sub = degree_subspace(cone, m, args.p)
-    if args.format == "json":
-        _emit_json(
-            {
-                "degree": list(m),
-                "characteristic": args.p,
-                "dim": sub.dim,
-                "basis": [[str(x) for x in row] for row in sub.basis],
-            }
-        )
-    else:
-        print(f"V_{_vec(m)} over {'QQ' if args.p == 0 else f'GF({args.p})'}: dim {sub.dim}")
-        for row in sub.basis:
-            print("  " + _vec(row))
-    return 0
+    doc = {
+        "degree": list(m),
+        "characteristic": args.p,
+        "dim": sub.dim,
+        "basis": [[str(x) for x in row] for row in sub.basis],
+    }
+    head = f"V_{_vec(m)} over {'QQ' if args.p == 0 else f'GF({args.p})'}: dim {sub.dim}"
+    return 0, doc, [head, *("  " + _vec(row) for row in sub.basis)]
 
 
-def _cmd_cohomology(args):
+def _cmd_cohomology(cone, args):
     from .writer import write_cohomology
 
-    cone = _cone_from_args(args)
     write_cohomology(sys.stdout, cone, args.bound, args.p, args.format)
-    return 0
+    return 0, None, ()
 
 
-def _cmd_poincare(args):
-    from .complexes import NoVertexError, poincare_check
+def _cmd_poincare(cone, args):
+    from .complexes import poincare_check
 
-    cone = _cone_from_args(args)
     if args.p:
-        raise NoVertexError("the exactness check runs in characteristic zero; drop --p")
+        raise ConeSpecError("the exactness check runs in characteristic zero; drop --p")
     report = poincare_check(cone, args.bound)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.payload(), [report.to_text()]
 
 
-def _cmd_cartier(args):
+def _cmd_cartier(cone, args):
     from .cartier import verify_isomorphism
 
-    cone = _cone_from_args(args)
     level = None
     if args.a != "all":
         try:
@@ -210,38 +188,31 @@ def _cmd_cartier(args):
     view = report
     if level is not None:
         view = dataclasses.replace(report, levels=report.levels[level : level + 1])
-    if args.format == "json":
-        _emit_json(view.payload())
-    else:
-        print(view.to_text())
-        print(report.generator.to_text())
-    return 0 if report.passed else 1
+    lines = (r.to_text() for r in (view, report.generator))
+    return (0 if report.passed else 1), view.payload(), lines
 
 
-def _cmd_oracle(args):
+def _cmd_oracle(cone, args):
     from .complexes import _box_cohomology, oracle_full_complex
 
-    cone = _cone_from_args(args)
     totals = oracle_full_complex(cone, args.bound, args.p)
     sums = (0,) * (cone.ambient_rank + 1)
     for _, h in _box_cohomology(cone, args.bound, args.p):
         sums = tuple(map(sum, zip(sums, h)))
     agree = totals == sums
-    if args.format == "json":
-        _emit_json(
-            {
-                "bound": args.bound,
-                "characteristic": args.p,
-                "oracle_totals": list(totals),
-                "table_sums": list(sums),
-                "agree": agree,
-            }
-        )
-    else:
-        print(f"oracle totals:    {_vec(totals)}")
-        print(f"degreewise sums:  {_vec(sums)}")
-        print(f"agreement: {'PASS' if agree else 'FAIL'}")
-    return 0 if agree else 1
+    doc = {
+        "bound": args.bound,
+        "characteristic": args.p,
+        "oracle_totals": list(totals),
+        "table_sums": list(sums),
+        "agree": agree,
+    }
+    lines = [
+        f"oracle totals:    {_vec(totals)}",
+        f"degreewise sums:  {_vec(sums)}",
+        f"agreement: {'PASS' if agree else 'FAIL'}",
+    ]
+    return (0 if agree else 1), doc, lines
 
 
 def _build_parser():
@@ -326,7 +297,11 @@ def main(argv=None):
     # ConeSpecError, NotPointedError, NotInConeError and NoVertexError are
     # all ValueErrors.
     try:
-        code = args.func(args)
+        code, doc, lines = args.func(_cone_from_args(args), args)
+        if doc is not None and args.format == "json":
+            lines = (json.dumps(doc, indent=2, sort_keys=True),)
+        for line in lines:
+            print(line)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except BrokenPipeError:

@@ -227,8 +227,9 @@ class PoincareReport:
     violations: tuple
     table_hash: str
 
-    def to_json(self):
-        payload = {
+    def payload(self):
+        """The report as JSON-ready data."""
+        return {
             "rays": [list(r) for r in self.rays],
             "bound": self.bound,
             "checked": self.checked,
@@ -239,7 +240,9 @@ class PoincareReport:
             ],
             "table_hash": self.table_hash,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self):
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_text(self):
         head = (

@@ -555,14 +555,13 @@ def mat_mul(field, A, B):
     width = len(B[0]) if B else 0
     if any(len(row) != len(B) for row in A):
         raise ValueError(f"shape mismatch: {len(B)} rows in B, not the width of A")
-    p = field.characteristic
     out = []
     for row in A:
         acc = [0] * width
         for c, b in zip(row, B):
             if c:
                 acc = [x + c * y for x, y in zip(acc, b)]
-        out.append(tuple(x % p for x in acc) if p else tuple(acc))
+        out.append(tuple(map(field.of, acc)) if field.characteristic else tuple(acc))
     return tuple(out)
 
 

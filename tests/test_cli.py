@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,6 +25,9 @@ CONE = str(CONE_DIR / "a1-quadric.json")
 ORTHANT = str(CONE_DIR / "orthant-2.json")
 HALFPLANE = str(CONE_DIR / "halfplane-degenerate.json")
 CORPUS = sorted(path.stem for path in CONE_DIR.glob("*.json"))
+# Stdout, stderr and exit status of every command that prints one document,
+# in text and JSON, recorded from the CLI; a change here changes what users see.
+PINS = json.loads(pathlib.Path(__file__).with_name("cli_pins.json").read_text(encoding="utf-8"))
 
 
 class TestSpecLoading:
@@ -204,6 +208,13 @@ class TestCommands:
         code, out, _ = run_cli("oracle", CONE, "--p", "2", "--bound", "2", capsys=capsys)
         assert code == 0
         assert "agreement: PASS" in out
+
+
+@pytest.mark.parametrize("pin", PINS, ids=lambda pin: "-".join(pin["argv"]))
+def test_pinned_bytes(pin, capsys):
+    command, cone, *flags = pin["argv"]
+    got = run_cli(command, CONE_DIR / f"{cone}.json", *flags, capsys=capsys)
+    assert got == (pin["status"], pin["stdout"], pin["stderr"])
 
 
 class TestExitCodes:

@@ -296,6 +296,10 @@ class TestMatMul:
         assert mat_mul(GF(2), A, B) == ((0,),)
         assert mat_mul(QQ, A, B) == ((2,),)
 
+    def test_fraction_entries_reduce_through_the_field(self):
+        # 1/2 is 2 in GF(3), as GF(3).of reads it; x % 3 would keep Fraction(1, 2)
+        assert mat_mul(GF(3), ((Fraction(1, 2),),), ((1,),)) == ((2,),)
+
     def test_empty_dimensions(self):
         B = imat([[1, 0], [0, 1]])
         assert mat_mul(QQ, (), B) == ()
