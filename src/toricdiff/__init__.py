@@ -6,8 +6,7 @@ geometry, :mod:`toricdiff.forms` the graded subspace model of the forms,
 :mod:`toricdiff.complexes` the per-degree complexes with their cohomology
 and the whole-box oracle, and :mod:`toricdiff.cartier` the characteristic-p
 verification suite.  :mod:`toricdiff.cli` exposes all of it on the command
-line, and :mod:`toricdiff.writer` writes the rows of its ``cohomology``
-command.
+line and alone decides what the commands print.
 
 Importing the package loads none of these modules.  Each export in
 ``__all__``, and each of the modules from ``linalg`` to ``cartier``,

@@ -29,7 +29,6 @@ streams by: only its p-divisible degrees and the cohomology there stay.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from math import comb
@@ -183,9 +182,6 @@ class CartierReport:
         generator = data.pop("generator")
         del generator["name"]
         return data | {"generator_identity": generator | {"passed": self.generator.passed}}
-
-    def to_json(self):
-        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_text(self):
         lines = [

@@ -5,10 +5,11 @@ n), ``rays`` (a list of nonzero integer vectors of length n), and ``space``
 ("N" when the rays generate the defining cone, so the exponent cone is the
 dual; "M" when they generate the exponent cone directly; default "N").
 
-``main`` builds the exponent cone and hands it to the command, which
-returns its exit status, its JSON document and its text lines; ``main``
-prints the one that ``--format`` asks for.  ``cohomology`` alone streams:
-it writes its rows as the box is scanned and returns neither.
+This module alone decides the output bytes.  ``main`` builds the exponent
+cone and hands it to the command, which returns its exit status, its JSON
+document and its text lines; ``main`` prints the one that ``--format`` asks
+for.  ``cohomology`` alone streams: it writes its rows in text, CSV or JSON
+as the box is scanned and returns neither.
 
 Exit status: 0 when the requested computation or verification succeeds,
 1 when a verification ran to completion and found a violation, 2 for bad
@@ -24,6 +25,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
 
 # main builds every command's cone, so cones and linalg load here.  Each handler
 # imports the rest of what it runs, so that `dual` and `facets` never load
@@ -158,10 +160,56 @@ def _cmd_vm(cone, args):
 
 
 def _cmd_cohomology(cone, args):
-    from .writer import write_cohomology
+    """Write the cohomology of the box to stdout row by row as the box streams.
 
-    write_cohomology(sys.stdout, cone, args.bound, args.p, args.format)
+    The bytes are those of :class:`~toricdiff.complexes.CohomologyTable`: its
+    CSV, its JSON plus a newline, or one ``(m): h=(h)`` line per degree.  The
+    first row is located before anything is written, so a cone refused there
+    (one that is not full dimensional) leaves stdout empty.
+    """
+    from .complexes import _box_cohomology, _csv_form, _csv_header
+
+    rows = _box_cohomology(cone, args.bound, args.p)
+    m, h = next(rows)
+    if args.format == "json":
+        payload = {
+            "rays": [list(r) for r in cone.rays],
+            "characteristic": args.p,
+            "bound": args.bound,
+            "cohomology": [None],
+        }
+        # the document of one placeholder row, cut around that row
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split("\n    null")
+        row = _json_form
+        first = (row(h) % m)[1:]  # no comma before the first block
+        tail += "\n"
+    else:
+        head = _csv_header(cone.ambient_rank) if args.format == "csv" else ""
+        row = _csv_form if args.format == "csv" else _text_form
+        first, tail = row(h) % m, ""
+    out = sys.stdout
+    out.write(head + first)
+    for m, h in rows:
+        out.write(row(h) % m)
+    out.write(tail)
     return 0, None, ()
+
+
+@lru_cache(maxsize=64)
+def _text_form(h):
+    """The text line of a row with this h, as a ``%d`` format for its m."""
+    return "(" + ",".join(["%d"] * (len(h) - 1)) + "): h=(" + ",".join(map(str, h)) + ")\n"
+
+
+@lru_cache(maxsize=64)
+def _json_form(h):
+    """The JSON block of a row with this h and its leading comma, a ``%d`` format for its m.
+
+    The block is the encoder's own output for the row, so its bytes are those
+    of :meth:`~toricdiff.complexes.CohomologyTable.to_json`.
+    """
+    block = json.dumps({"degree": ["%d"] * (len(h) - 1), "h": list(h)}, indent=2, sort_keys=True)
+    return ",\n    " + block.replace('"%d"', "%d").replace("\n", "\n    ")
 
 
 def _cmd_poincare(cone, args):
@@ -193,12 +241,9 @@ def _cmd_cartier(cone, args):
 
 
 def _cmd_oracle(cone, args):
-    from .complexes import _box_cohomology, oracle_full_complex
+    from .complexes import _oracle
 
-    totals = oracle_full_complex(cone, args.bound, args.p)
-    sums = (0,) * (cone.ambient_rank + 1)
-    for _, h in _box_cohomology(cone, args.bound, args.p):
-        sums = tuple(map(sum, zip(sums, h)))
+    totals, sums = _oracle(cone, args.bound, args.p)
     agree = totals == sums
     doc = {
         "bound": args.bound,

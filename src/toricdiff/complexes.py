@@ -26,12 +26,12 @@ Three paths compute cohomology, each on purpose:
 
 Degrees stream by in lexicographic order and no command holds a table of
 the box: a check reads them in one pass, and the ``cohomology`` command
-writes each row as it arrives (:mod:`toricdiff.writer`, with the CSV row
+writes each row as it arrives (:mod:`toricdiff.cli`, with the CSV row
 format of :class:`_CsvRows`).  :class:`CohomologyTable` is the library
-form, and the reference the tests hold the streamed bytes against.  Tables
-and reports serialize to JSON and to CSV with one row per degree.  Output
-is byte-stable: degrees are sorted, hashes are over the CSV bytes, of a
-table or of the stream alike.
+form, and the reference the tests hold the streamed bytes against: it
+serializes to JSON and to CSV with one row per degree.  Reports give their
+JSON-ready data through ``payload()``.  Output is byte-stable: degrees are
+sorted, hashes are over the CSV bytes, of a table or of the stream alike.
 """
 
 from __future__ import annotations
@@ -195,21 +195,23 @@ def cohomology_table(cone, bound, char):
 
 
 def _box_cohomology(cone, bound, char):
-    """``(m, h)`` for every degree of the box, in lexicographic order.
-
-    h is read off w, the coordinates of m in V_m (see the module
-    docstring): zero when w != 0, whose exactness :func:`_prove_koszul`
-    proves, and ``C(dim V_m, a)`` when w = 0 and every differential is zero.
-    """
+    """``(m, h)`` per degree of the box in lexicographic order, h by :func:`_degree_cohomology`."""
     n = cone.ambient_rank
-    exact = (0,) * (n + 1)
     for m, mask in cone.lattice_points(bound):
         sub, w = _located_degree(cone._normals_of(mask), m, char)
-        if any(w):
-            _prove_koszul(len(w))
-            yield m, exact
-        else:
-            yield m, tuple(comb(sub.dim, a) for a in range(n + 1))
+        yield m, _degree_cohomology(n, sub.dim, w)
+
+
+def _degree_cohomology(n, dim, w):
+    """h of a degree from dim V_m and w, the coordinates of m in V_m (see the module docstring).
+
+    Zero when w != 0, whose exactness :func:`_prove_koszul` proves, and
+    ``C(dim V_m, a)`` when w = 0 and every differential is zero.
+    """
+    if any(w):
+        _prove_koszul(len(w))
+        return (0,) * (n + 1)
+    return tuple(comb(dim, a) for a in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +242,6 @@ class PoincareReport:
             ],
             "table_hash": self.table_hash,
         }
-
-    def to_json(self):
-        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_text(self):
         head = (
@@ -303,6 +302,15 @@ def oracle_full_complex(cone, bound, char):
     against the identities proven once per dimension, on the very matrices
     those identities are about, and checks the grading argument on the way.
     """
+    return _oracle(cone, bound, char)[0]
+
+
+def _oracle(cone, bound, char):
+    """The oracle's totals and the column sums of the degreewise table, from one scan.
+
+    Each degree is located once, for the whole-box matrices and for
+    :func:`_degree_cohomology`, the rule of every box table.
+    """
     field = field_of_characteristic(char)
     n = cone.ambient_rank
     data = []
@@ -311,7 +319,10 @@ def oracle_full_complex(cone, bound, char):
         data.append((sub.dim, w))
     totals = [sum(comb(d, a) for d, _ in data) for a in range(n + 1)]
     ranks = [sparse_rank(field, _oracle_columns(field, data, a)) for a in range(n)]
-    return _homology(totals, ranks)
+    sums = (0,) * (n + 1)
+    for d, w in data:
+        sums = tuple(map(sum, zip(sums, _degree_cohomology(n, d, w))))
+    return _homology(totals, ranks), sums
 
 
 def _oracle_columns(field, data, a):

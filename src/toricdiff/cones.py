@@ -14,6 +14,7 @@ monomials of the coordinate ring.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,13 @@ __all__ = [
 ]
 
 
-# Most points a box scan may visit.  The scan streams the box one slab of
-# (2B+1)^(n-1) points at a time and keeps none of it, so memory does not
-# bound the box; time does.  At 10^7 points a 3-dimensional check runs for
-# minutes; the largest box in the tests, demos and benchmark is 41^3.
+# Most points a box scan may visit, and most points in one slab of it.  The
+# scan streams the box a slab at a time and keeps none of it, so memory does
+# not bound the box; time does.  At 10^7 points a 3-dimensional check runs for
+# minutes; the largest box in the tests, demos and benchmark is 41^3, and
+# their largest slab 7,225 points.
 _MAX_BOX_POINTS = 10**7
+_MAX_SLAB_POINTS = 2**15
 
 
 class NotPointedError(ValueError):
@@ -175,7 +178,8 @@ class Cone:
         ray, so for a full dimensional cone the set bits are the indices of
         :meth:`facets_containing`.  The box is streamed (see :meth:`_scan`)
         and nothing of it is kept, so a caller that consumes the points one
-        by one holds one slab of the box at a time.  A box of more than
+        by one holds one slab of at most ``_MAX_SLAB_POINTS`` points at a
+        time, whatever the rank and the bound.  A box of more than
         ``_MAX_BOX_POINTS`` points is refused here, before the scan starts.
         """
         if bound < 0:
@@ -214,12 +218,13 @@ class Cone:
     def _scan(self, bound):
         """Generator behind :meth:`lattice_points`, the only numpy code.
 
-        The box is cut into slabs along the first coordinate.  Each slab of
-        ``(2*bound+1)^(n-1)`` points is built once from ``np.indices`` in
-        lexicographic order and classified by one product
-        ``points @ normals.T``; slabs in increasing first coordinate give the
-        lexicographic order of the box.  A slab's products are freed before
-        its points are yielded.  Arithmetic is exact: ``int64`` while
+        A slab fixes the n-d leading coordinates and runs over the last d,
+        for the largest ``d <= n-1`` with ``(2*bound+1)^d <= _MAX_SLAB_POINTS``
+        (rank 1 gets one-point slabs).  Its tail is built once from
+        ``np.indices`` in lexicographic order, the prefixes step in
+        lexicographic order, and each slab is classified by one product
+        ``points @ normals.T``.  A slab's products are freed before its
+        points are yielded.  Arithmetic is exact: ``int64`` while
         ``max_u sum|u_i| * bound`` stays below ``2**62``, Python integers
         (``dtype=object``) otherwise.  The bit weights are ``int64`` below 63
         facets and Python integers from there on.
@@ -232,11 +237,14 @@ class Cone:
         k = len(normals)
         weights = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
         side = 2 * bound + 1
-        rest = side ** (n - 1)
+        d = n - 1
+        while d and side ** d > _MAX_SLAB_POINTS:
+            d -= 1
+        rest = side ** d
         slab = np.empty((rest, n), dtype=dtype)
-        slab[:, 1:] = np.indices((side,) * (n - 1)).reshape(n - 1, rest).T - bound
-        for first in range(-bound, bound + 1):
-            slab[:, 0] = first
+        slab[:, n - d :] = np.indices((side,) * d).reshape(d, rest).T - bound
+        for prefix in itertools.product(range(-bound, bound + 1), repeat=n - d):
+            slab[:, : n - d] = prefix
             vals = slab @ normals_t
             inside = (vals >= 0).all(axis=1)
             columns = slab[inside].T.tolist()

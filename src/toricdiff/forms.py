@@ -65,9 +65,12 @@ def wedge_matrix(field, w, a):
     Rows and columns are indexed by the lexicographic subsets of
     :func:`wedge_subsets`: ``e_pos ∧ e_I`` is ``e_J`` for J the sorted union,
     with the sign of moving ``pos`` past the indices of I below it.  The
-    entries are those of w, negated where the sign is odd, so integer w gives
+    entries are those of w, negated where the sign is odd: over GF(p) w is
+    reduced first, so every entry is a residue, and over QQ integer w gives
     an integer matrix.
     """
+    if field.characteristic:
+        w = tuple(map(field.of, w))
     d = len(w)
     D = [[0] * len(wedge_subsets(d, a)) for _ in wedge_subsets(d, a + 1)]
     neg = field.neg

@@ -233,7 +233,7 @@ class TestVerifyIsomorphism:
 
     def test_json_round_trip(self, orthant):
         report = verify_isomorphism(orthant, 2, 3)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.payload()))
         assert data.pop("passed") is True
         assert data.pop("rays") == [list(r) for r in report.rays]
         assert data.pop("levels") == [vars(lv) for lv in report.levels]
@@ -340,7 +340,7 @@ class TestNegativeControls:
         assert not report.passed
         assert [lv.split_ok for lv in report.levels] == [True, False, True]
         assert report.violations == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.payload()))
         assert data["passed"] is False
         assert data["violations"] == list(report.violations)
         # computed in one pass, replayed for each of the nine degrees

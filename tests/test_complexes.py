@@ -222,7 +222,7 @@ class TestPoincare:
 
     def test_json_round_trip(self, orthant):
         report = poincare_check(orthant, 2)
-        assert json.loads(report.to_json()) == {
+        assert json.loads(json.dumps(report.payload())) == {
             "rays": [[0, 1], [1, 0]],
             "bound": 2,
             "checked": report.checked,

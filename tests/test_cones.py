@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import toricdiff.cones as cones_module
 from toricdiff.cones import Cone, NotInConeError, NotPointedError
 from toricdiff.linalg import saturate
 
@@ -129,6 +131,24 @@ class TestFacets:
             d.facets_containing((0, 1))
 
 
+def test_scan_memory_does_not_grow_with_the_box_in_rank_6():
+    # one slab of the bound-6 box would hold 13^5 points if it spanned every
+    # coordinate but the first; slabs of at most _MAX_SLAB_POINTS points keep
+    # the traced peak of the scan near that of the bound-3 box
+    orthant = Cone([tuple(int(i == j) for j in range(6)) for i in range(6)]).dual
+
+    def traced_peak(bound):
+        tracemalloc.start()
+        try:
+            for _ in orthant.lattice_points(bound):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(6) <= 2 * traced_peak(3)
+
+
 class TestLatticePoints:
     def test_quadric_small_box(self):
         d = Cone([(0, 1), (2, -1)]).dual
@@ -194,6 +214,16 @@ class TestScanMatchesDefinition:
             assert mask == sum(1 << i for i in on) == cone._point_mask(v)
             if cone.is_full_dimensional():
                 assert [f.index for f in cone.facets_containing(v)] == on
+
+    def test_prefix_slabs_keep_the_order(self, monkeypatch):
+        # slabs of at most 5 points step two or three leading coordinates
+        cones = (
+            Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)]).dual,
+            Cone([tuple(int(i == j) for j in range(4)) for i in range(3)] + [(0, 0, 0, -1)]),
+        )
+        want = [tuple(cone.lattice_points(2)) for cone in cones]
+        monkeypatch.setattr(cones_module, "_MAX_SLAB_POINTS", 5)
+        assert [tuple(cone.lattice_points(2)) for cone in cones] == want
 
     def test_huge_normals_take_the_exact_path(self):
         width = max(sum(map(abs, u)) for u in HUGE.dual.rays)

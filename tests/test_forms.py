@@ -155,10 +155,11 @@ class TestWedgeMatrix:
     # coordinate vectors with and without zero entries, for every d <= 5
     VECTORS = [[(-1) ** k * (k + 2) for k in range(d)] for d in range(6)]
     VECTORS += [[k % 3 - 1 for k in range(d)] for d in range(1, 6)]
+    VECTORS += [[5, 1]]  # GF(3): every entry is reduced, not only the negated ones
 
-    @pytest.mark.parametrize("kind", ["int", "fraction", "gf5"])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "gf5", "gf3-unreduced"])
     def test_matches_the_sorting_sign(self, kind):
-        field = GF(5) if kind == "gf5" else QQ
+        field = {"gf5": GF(5), "gf3-unreduced": GF(3)}.get(kind, QQ)
         for raw in self.VECTORS:
             if kind == "fraction":
                 w = [Fraction(x, 3) for x in raw]
@@ -172,8 +173,8 @@ class TestWedgeMatrix:
                 assert D == tuple(map(tuple, want)), (w, a)
                 if kind == "int":
                     assert all(type(x) is int for row in D for x in row)
-                if kind == "gf5":
-                    assert all(0 <= x < 5 for row in D for x in row)
+                if field.characteristic:
+                    assert all(0 <= x < field.characteristic for row in D for x in row)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-9, 9), max_size=6), st.sampled_from([0, 2, 3, 5, 7]), st.data())
