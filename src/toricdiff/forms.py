@@ -65,19 +65,19 @@ def wedge_matrix(field, w, a):
     Rows and columns are indexed by the lexicographic subsets of
     :func:`wedge_subsets`: ``e_pos ∧ e_I`` is ``e_J`` for J the sorted union,
     with the sign of moving ``pos`` past the indices of I below it.  The
-    entries are those of w, negated where the sign is odd: over GF(p) w is
-    reduced first, so every entry is a residue, and over QQ integer w gives
-    an integer matrix.
+    entries are those of w, negated where the sign is odd: over GF(p) w and
+    -w are reduced once, so every entry is a residue, and over QQ integer w
+    gives an integer matrix.
     """
+    signed = (w, [-c for c in w])
     if field.characteristic:
-        w = tuple(map(field.of, w))
+        signed = [list(map(field.of, v)) for v in signed]
     d = len(w)
     D = [[0] * len(wedge_subsets(d, a)) for _ in wedge_subsets(d, a + 1)]
-    neg = field.neg
     for row, col, odd, pos in _wedge_template(d, a):
-        c = w[pos]
+        c = signed[odd][pos]
         if c:
-            D[row][col] = neg(c) if odd else c
+            D[row][col] = c
     return tuple(map(tuple, D))
 
 

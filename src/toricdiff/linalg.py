@@ -10,13 +10,19 @@ Zero-row and zero-column matrices are legal everywhere.  A matrix with no
 rows is ``()`` and carries no width, so functions that need one take it as
 ``ncols``.  Ranks over QQ are computed fraction-free (Bareiss); over GF(p)
 by the same reduced row echelon form that spans subspaces.
+
+A field is a value with ``characteristic``, ``zero``, ``one``, ``of`` and
+``inv``: ``QQ``, or ``GF(p)``, where ``GF`` is the prime-field class
+itself.  Fields compare and hash by value.  Arithmetic on field elements
+is written with Python operators, and each result is reduced once by
+``field.of``, which takes ints, ``Fraction`` entries and other integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import cached_property
 from math import gcd, lcm
 
 __all__ = [
@@ -196,19 +202,40 @@ def saturate(rows, ambient_rank=None):
 # coefficient fields
 
 
+# The first 13 primes.  The smallest composite that is a strong probable
+# prime to all of them is 3317044064679887385961981 (Sorenson and Webster,
+# 2017), so the strong tests of ``is_prime`` are exact below it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(p):
-    """Trial division primality test, meant for small moduli."""
+    """Exact primality test for ``p < 3.3 * 10**24``; larger p is refused.
+
+    Strong probable-prime tests to the first 13 prime bases take 13 modular
+    powers, not the sqrt(p)/2 divisions of trial division, so ``GF(p)`` is
+    cheap to build for every modulus it accepts and needs no cache.
+    """
+    if p >= _PRIME_TEST_BOUND:
+        raise ValueError("primality is decided only below 3317044064679887385961981")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -220,24 +247,12 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, x):
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+        return x if type(x) is Fraction else Fraction(x)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return 1 / self.of(a)
 
     def __repr__(self):
         return "QQ"
@@ -252,7 +267,7 @@ class RationalField:
 QQ = RationalField()
 
 
-class PrimeField:
+class GF:
     """The field GF(p) for a prime p; elements are ints in ``[0, p)``."""
 
     def __init__(self, p):
@@ -267,23 +282,13 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by the modulus")
             return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
         return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         a %= self.p
@@ -295,21 +300,10 @@ class PrimeField:
         return f"GF({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, GF) and other.p == self.p
 
     def __hash__(self):
         return hash(("GF", self.p))
-
-
-# Fields held by the ``GF`` cache.  Fields compare by value, so an evicted
-# modulus only costs a rebuild; the bound keeps a process that visits many
-# primes from growing without limit.
-_FIELD_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_FIELD_CACHE_SIZE)
-def GF(p):
-    return PrimeField(p)
 
 
 def field_of_characteristic(char):
@@ -341,11 +335,11 @@ def _rref(field, rows):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        rows[r] = [field.of(inv * x) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != field.zero:
                 f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [field.of(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
     return rows[:r], tuple(pivots)
@@ -376,15 +370,13 @@ class Subspace:
 
     def coordinates_of(self, vec):
         """Coefficients of ``vec`` in the reduced basis, or None if outside."""
-        v = [self.field.of(x) for x in vec]
+        field = self.field
+        v = [field.of(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
         coords = tuple(v[p] for p in self.pivots)
         for j in range(self.ambient_dim):
-            s = v[j]
-            for c, row in zip(coords, self.basis):
-                s = self.field.sub(s, self.field.mul(c, row[j]))
-            if s != self.field.zero:
+            if field.of(v[j] - sum(c * row[j] for c, row in zip(coords, self.basis))) != field.zero:
                 return None
         return coords
 
@@ -489,9 +481,9 @@ def kernel(field, M, ncols=None):
         v = [field.zero] * width
         v[j] = field.one
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced[i][j])
+            v[pc] = -reduced[i][j]
         gens.append(v)
-    return subspace(field, gens, width)
+    return subspace(field, gens, width)  # reduces each entry through field.of
 
 
 def intersect(S, T):
@@ -512,14 +504,11 @@ def intersect(S, T):
         return S
     stacked = S.basis + T.basis
     relations = kernel(field, _transpose(stacked, n), ncols=len(stacked))
-    gens = []
-    for rel in relations.basis:
-        v = [field.zero] * n
-        for c, row in zip(rel[: S.dim], S.basis):
-            for j in range(n):
-                v[j] = field.add(v[j], field.mul(c, row[j]))
-        gens.append(v)
-    return subspace(field, gens, n)
+    gens = [
+        [sum(c * row[j] for c, row in zip(rel[: S.dim], S.basis)) for j in range(n)]
+        for rel in relations.basis
+    ]
+    return subspace(field, gens, n)  # reduces each entry through field.of
 
 
 def sum_spaces(S, T):
@@ -582,14 +571,14 @@ def sparse_rank(field, columns):
                 piv = pivots[c]
                 f = row[c]
                 for j, v in piv.items():
-                    nv = field.sub(row.get(j, field.zero), field.mul(f, v))
+                    nv = field.of(row.get(j, field.zero) - f * v)
                     if nv == field.zero:
                         row.pop(j, None)
                     else:
                         row[j] = nv
             else:
                 inv = field.inv(row[c])
-                pivots[c] = {j: field.mul(inv, v) for j, v in row.items()}
+                pivots[c] = {j: field.of(inv * v) for j, v in row.items()}
                 r += 1
                 break
     return r

@@ -142,13 +142,12 @@ def reference_wedge(field, w, a):
     d = len(w)
     rows = list(itertools.combinations(range(d), a + 1))
     cols = list(itertools.combinations(range(d), a))
-    M = [[field.zero] * len(cols) for _ in rows]
+    M = [[0] * len(cols) for _ in rows]
     for j, I in enumerate(cols):
         for pos in set(range(d)) - set(I):
             i = rows.index(tuple(sorted((pos, *I))))
-            term = field.mul(field.of(sorting_sign((pos, *I))), field.of(w[pos]))
-            M[i][j] = field.add(M[i][j], term)
-    return M
+            M[i][j] += sorting_sign((pos, *I)) * w[pos]
+    return [[field.of(x) for x in row] for row in M]
 
 
 class TestWedgeMatrix:
@@ -157,12 +156,14 @@ class TestWedgeMatrix:
     VECTORS += [[k % 3 - 1 for k in range(d)] for d in range(1, 6)]
     VECTORS += [[5, 1]]  # GF(3): every entry is reduced, not only the negated ones
 
-    @pytest.mark.parametrize("kind", ["int", "fraction", "gf5", "gf3-unreduced"])
+    @pytest.mark.parametrize("kind", ["int", "int-large", "fraction", "gf5", "gf3-unreduced"])
     def test_matches_the_sorting_sign(self, kind):
         field = {"gf5": GF(5), "gf3-unreduced": GF(3)}.get(kind, QQ)
         for raw in self.VECTORS:
             if kind == "fraction":
                 w = [Fraction(x, 3) for x in raw]
+            elif kind == "int-large":
+                w = [x * 2**70 for x in raw]  # exact beyond any machine word
             else:
                 w = [field.of(x) for x in raw] if kind == "gf5" else list(raw)
             for a in range(len(w) + 1):
@@ -171,7 +172,7 @@ class TestWedgeMatrix:
                 width = len(wedge_subsets(len(w), a))
                 assert len(D) == len(want) and all(len(row) == width for row in D), (w, a)
                 assert D == tuple(map(tuple, want)), (w, a)
-                if kind == "int":
+                if kind.startswith("int"):
                     assert all(type(x) is int for row in D for x in row)
                 if field.characteristic:
                     assert all(0 <= x < field.characteristic for row in D for x in row)

@@ -1,12 +1,11 @@
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from toricdiff.linalg import (
-    _FIELD_CACHE_SIZE,
     GF,
     QQ,
-    PrimeField,
     Subspace,
     full_space,
     hnf,
@@ -134,14 +133,36 @@ class TestFields:
     def test_rationals(self):
         assert QQ.of(2) == Fraction(2)
         assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+        assert QQ.inv(-2) == Fraction(-1, 2)
         assert QQ.characteristic == 0
+
+    @pytest.mark.parametrize(
+        "x", [3, -3, True, numpy.int64(-3)], ids=["int", "negative", "bool", "int64"]
+    )
+    def test_rationals_read_every_integer_type(self, x):
+        assert type(QQ.of(x)) is Fraction and QQ.of(x) == int(x)
+
+    def test_rationals_keep_a_fraction(self):
+        x = Fraction(-5, 3)
+        assert QQ.of(x) is x
 
     def test_prime_field(self):
         F = GF(7)
         assert F.of(-1) == 6
-        assert F.mul(3, 5) == 1
         assert F.inv(3) == 5
         assert F.of(Fraction(1, 2)) == 4
+
+    @pytest.mark.parametrize(
+        "x, residue",
+        [(12, 5), (-1, 6), (True, 1), (numpy.int64(-8), 6), (Fraction(1, 2), 4), (Fraction(-3, 4), 1)],
+        ids=["int", "negative", "bool", "int64", "fraction", "negative-fraction"],
+    )
+    def test_prime_field_reads_every_input_type(self, x, residue):
+        assert type(GF(7).of(x)) is int and GF(7).of(x) == residue
+
+    def test_prime_field_refuses_a_denominator_divisible_by_p(self):
+        with pytest.raises(ZeroDivisionError):
+            GF(7).of(Fraction(1, 14))
 
     def test_rejects_composite_and_huge(self):
         with pytest.raises(ValueError):
@@ -151,17 +172,31 @@ class TestFields:
         with pytest.raises(ZeroDivisionError):
             GF(5).inv(0)
 
-    def test_field_cache_is_bounded(self):
-        primes = [p for p in range(2, 10**4) if is_prime(p)][: 2 * _FIELD_CACHE_SIZE]
-        for p in primes:
-            GF(p)
-        assert GF.cache_info().currsize <= _FIELD_CACHE_SIZE
-        # fields compare by value, so an evicted modulus rebuilds an equal field
-        assert all(GF(p) == PrimeField(p) for p in primes)
+    def test_fields_compare_and_hash_by_value(self):
+        # GF(5) builds a new field on every call: equality and hashing go by the modulus
+        assert GF(5) == GF(5) and hash(GF(5)) == hash(GF(5))
+        assert GF(5) != GF(7) and GF(5) != QQ and QQ != GF(5)
+        rows = [[1, 2, 3], [4, 5, 6]]
+        assert subspace(GF(5), rows) == subspace(GF(5), rows)
 
     def test_is_prime_small(self):
         primes = [p for p in range(60) if is_prime(p)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert all(is_prime(n) == trial(n) for n in range(-3, 20000))
+
+    def test_is_prime_on_strong_pseudoprimes_and_large_primes(self):
+        # each composite passes the strong test to every base before the one that catches it
+        pseudoprimes = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
+        pseudoprimes += [341550071728321, 3825123056546413051, 318665857834031151167461]
+        assert not any(is_prime(n) for n in pseudoprimes)
+        assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and is_prime(2**31 - 19)
+        with pytest.raises(ValueError):
+            is_prime(1287836182261 * 2575672364521)  # a strong pseudoprime to all 13 bases
 
 
 class TestRank:
@@ -221,6 +256,17 @@ class TestSubspace:
             intersect(subspace(QQ, [[1, 0]]), subspace(GF(2), [[1, 0]]))
         with pytest.raises(ValueError):
             intersect(subspace(QQ, [[1, 0]]), subspace(QQ, [[1, 0, 0]]))
+
+    def test_unreduced_input_gives_residues(self):
+        p = 5
+        rows = [[7, -3, 12], [-8, 14, 1]]
+        S = subspace(GF(p), rows)
+        K = kernel(GF(p), rows)
+        coords = S.coordinates_of([x + 10 * y for x, y in zip(rows[0], rows[1])])
+        meet = intersect(S, subspace(GF(p), [[-4, 9, 26], [10, 0, 3]]))
+        entries = [x for B in (S.basis, K.basis, meet.basis) for row in B for x in row]
+        assert coords is not None and meet.dim == 1
+        assert all(type(x) is int and 0 <= x < p for x in entries + list(coords))
 
     def test_hashable(self):
         S1 = subspace(QQ, [[2, 0]])
