@@ -29,10 +29,11 @@ print("table hash:", table.table_hash())
 # The shift map at one degree, here on level 1.  Source forms live in degree
 # (1, 1), targets in degree (2, 2); on the coordinates of V_m the matrix
 # is the identity, which is what makes the bookkeeping transparent.
-shift = phi(quadric, (1, 1), p)[1]
-print("phi source degree:", shift.source_degree)
-print("phi target degree:", shift.target_degree)
-print("phi matrix at level 1:", [[int(x) for x in row] for row in shift.matrix])
+source = (1, 1)
+shift = phi(quadric, source, p)[1]
+print("phi source degree:", source)
+print("phi target degree:", tuple(p * x for x in source))
+print("phi matrix at level 1:", [[int(x) for x in row] for row in shift])
 
 # On generators the inverse map has a closed form: the class of
 # x^((p-1)m) dx^m.  Render both sides as actual form expressions.

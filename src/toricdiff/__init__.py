@@ -6,7 +6,8 @@ geometry, :mod:`toricdiff.forms` the graded subspace model of the forms,
 :mod:`toricdiff.complexes` the per-degree complexes with their cohomology
 and the whole-box oracle, and :mod:`toricdiff.cartier` the characteristic-p
 verification suite.  :mod:`toricdiff.cli` exposes all of it on the command
-line and alone decides what the commands print.
+line: it chooses the output form and encodes the JSON, and the reports
+write their own text.
 
 Importing the package loads none of these modules.  Each export in
 ``__all__``, and each of the modules from ``linalg`` to ``cartier``,
@@ -38,8 +39,6 @@ _EXPORTS = {
         "sum_spaces",
     ),
     "forms": (
-        "FormExpression",
-        "FormTerm",
         "degree_subspace",
         "facet_subspace",
         "to_form",
@@ -60,7 +59,6 @@ _EXPORTS = {
         "CartierReport",
         "CheckResult",
         "LevelSummary",
-        "PhiMap",
         "phi",
         "verify_isomorphism",
     ),

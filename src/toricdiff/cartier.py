@@ -38,26 +38,12 @@ from .forms import _located_degree, degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import GF, identity_matrix, mat_mul, rank
 
 __all__ = [
-    "PhiMap",
     "phi",
     "CheckResult",
     "LevelSummary",
     "CartierReport",
     "verify_isomorphism",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PhiMap:
-    """Matrix of the degree shift on one wedge level, in the subset bases.
-
-    ``matrix`` is a tuple of row tuples of residues mod p.
-    """
-
-    source_degree: tuple
-    target_degree: tuple
-    a: int
-    matrix: tuple
 
 
 def _wedge_powers(field, rows, top):
@@ -78,16 +64,18 @@ def _wedge_powers(field, rows, top):
             }
         # each column is a one-column matrix; side by side they make the level
         out.append(tuple(zip(*([x for x, in col] for col in columns.values()))))
-    return out
+    return tuple(out)
 
 
 def phi(cone, m, p):
     """The degree shift m -> pm on wedge levels 0..n, as honest matrices.
 
-    Level a is the a-th wedge power of one change of basis from V_m to V_pm.
-    The two subspaces coincide (face sets are scale invariant), so every
-    level is the identity; only invertibility is asserted, which makes the
-    map injective on every graded piece.
+    Returns the n+1 level matrices, each a tuple of row tuples of residues
+    mod p in the subset bases; level a is the a-th wedge power of one
+    change of basis from V_m to V_pm.  The two subspaces coincide (face
+    sets are scale invariant), so every level is the identity; only
+    invertibility is asserted, which makes the map injective on every
+    graded piece.
     """
     field = GF(p)
     m = tuple(int(x) for x in m)
@@ -104,12 +92,11 @@ def phi(cone, m, p):
         if coords is None:
             raise ArithmeticError("internal error: basis row escaped the target subspace")
         rows.append(coords)
-    out = []
-    for a, M in enumerate(_wedge_powers(field, rows, cone.ambient_rank)):
+    levels = _wedge_powers(field, rows, cone.ambient_rank)
+    for a, M in enumerate(levels):
         if rank(field, M) != len(M):
             raise ArithmeticError(f"internal error: degree shift not invertible at {m}, a={a}")
-        out.append(PhiMap(m, pm, a, M))
-    return tuple(out)
+    return levels
 
 
 @dataclass
@@ -260,7 +247,7 @@ def verify_isomorphism(cone, bound, p):
         sub, w = _located_degree(cone._normals_of(mask), m, p)
         kind = types.get(mask)
         if kind is None:
-            split = [s.matrix == identity_matrix(len(s.matrix)) for s in phi(cone, m, p)]
+            split = [M == identity_matrix(len(M)) for M in phi(cone, m, p)]
             kind = types[mask] = split, tuple(comb(sub.dim, a) for a in range(n + 1))
         split, whole = kind
         zero = hs == whole  # the whole wedge algebra survives: the differential at pm is zero

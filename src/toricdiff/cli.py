@@ -5,11 +5,13 @@ n), ``rays`` (a list of nonzero integer vectors of length n), and ``space``
 ("N" when the rays generate the defining cone, so the exponent cone is the
 dual; "M" when they generate the exponent cone directly; default "N").
 
-This module alone decides the output bytes.  ``main`` builds the exponent
-cone and hands it to the command, which returns its exit status, its JSON
-document and its text lines; ``main`` prints the one that ``--format`` asks
-for.  ``cohomology`` alone streams: it writes its rows in text, CSV or JSON
-as the box is scanned and returns neither.
+This module chooses the output form and encodes the JSON.  ``main`` builds
+the exponent cone and hands it to the command, which returns its exit
+status, its JSON document and its text lines; ``main`` prints the one that
+``--format`` asks for.  The reports write their own text (``to_text`` of
+``PoincareReport``, ``CartierReport`` and ``CheckResult``).  ``cohomology``
+alone streams: it writes its rows in text, CSV or JSON as the box is
+scanned and returns neither.
 
 Exit status: 0 when the requested computation or verification succeeds,
 1 when a verification ran to completion and found a violation, 2 for bad

@@ -42,8 +42,9 @@ __all__ = [
 # Most points a box scan may visit, and most points in one slab of it.  The
 # scan streams the box a slab at a time and keeps none of it, so memory does
 # not bound the box; time does.  At 10^7 points a 3-dimensional check runs for
-# minutes; the largest box in the tests, demos and benchmark is 41^3, and
-# their largest slab 7,225 points.
+# minutes.  The largest boxes in the tests and CI are the rank-6 orthant's
+# 13^6 (4,826,809 points), scanned in slabs of 13^4 = 28,561 points; the
+# benchmark's largest is 41^3.
 _MAX_BOX_POINTS = 10**7
 _MAX_SLAB_POINTS = 2**15
 
@@ -107,7 +108,6 @@ class Cone:
             dual.__dict__["dual"] = self
         self.ambient_rank = n
         self._lineality = lineality
-        self._pointed = pointed
         self.rays = _generator_list(lineality, pointed)
 
     @property

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import mul
@@ -31,8 +30,6 @@ __all__ = [
     "facet_subspace",
     "degree_subspace",
     "wedge_subsets",
-    "FormTerm",
-    "FormExpression",
     "to_form",
 ]
 
@@ -199,64 +196,40 @@ def _kernel_of_normals(normals, n, char):
 
 
 def _vec_str(v):
-    return "(" + ",".join(str(int(x)) for x in v) + ")"
-
-
-@dataclass(frozen=True)
-class FormTerm:
-    """One monomial form ``c * x^exponent dx^f1 ∧ ... ∧ dx^fa``."""
-
-    coefficient: object
-    exponent: tuple
-    factors: tuple
-
-    def __str__(self):
-        head = "" if self.coefficient == 1 else f"{self.coefficient}*"
-        body = f"x^{_vec_str(self.exponent)}"
-        if self.factors:
-            body += " " + "∧".join(f"dx^{_vec_str(f)}" for f in self.factors)
-        return head + body
-
-
-@dataclass(frozen=True)
-class FormExpression:
-    """Sum of monomial forms with a stable string syntax.
-
-    >>> str(FormExpression((FormTerm(1, (2, 0), ((1, 0), (0, 1))),)))
-    'x^(2,0) dx^(1,0)∧dx^(0,1)'
-    >>> str(FormExpression(()))
-    '0'
-    """
-
-    terms: tuple
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(str(t) for t in self.terms)
+    return "(" + ",".join(str(x) for x in v) + ")"
 
 
 def to_form(m, terms):
-    """Printable form of a degree-m wedge element.
+    """The printed form of a degree-m wedge element.
 
     ``terms`` is an iterable of ``(coefficient, factors)`` pairs; each
-    factor is an integer exponent vector.  A term with factors f_1..f_a in
-    degree m prints as ``x^(m - f_1 - ... - f_a) dx^(f_1)∧...∧dx^(f_a)``,
-    so every term carries total degree m.  Terms are sorted by their factor
-    tuples; zero coefficients are dropped.
+    factor is an integer exponent vector of the length of m.  A term with
+    factors f_1..f_a in degree m prints as
+    ``c*x^(m - f_1 - ... - f_a) dx^(f_1)∧...∧dx^(f_a)``, so every term
+    carries total degree m, and the ``c*`` is left out when c is 1.  Terms
+    are sorted by their factor tuples and joined by ``" + "``; zero
+    coefficients are dropped, and an empty sum prints as ``"0"``.
 
-    >>> str(to_form((2, 0), [(1, ((1, 0),))]))
+    >>> to_form((2, 0), [(1, ((1, 0),))])
     'x^(1,0) dx^(1,0)'
+    >>> to_form((2, 2), [(1, ((1, 0), (0, 1)))])
+    'x^(1,1) dx^(1,0)∧dx^(0,1)'
+    >>> to_form((1, 0), [])
+    '0'
     """
     m = tuple(int(x) for x in m)
     out = []
     for coeff, factors in terms:
+        fac = tuple(tuple(int(x) for x in f) for f in factors)
+        for f in fac:
+            if len(f) != len(m):
+                raise ValueError(f"factor {f} does not have the {len(m)} entries of degree {m}")
         if coeff == 0:
             continue
-        fac = tuple(tuple(int(x) for x in f) for f in factors)
-        exponent = tuple(mi - sum(f[i] for f in fac) for i, mi in enumerate(m))
-        total = tuple(e + sum(f[i] for f in fac) for i, e in enumerate(exponent))
-        if total != m:
-            raise AssertionError("term degree drifted away from m")
-        out.append(FormTerm(coeff, exponent, fac))
-    return FormExpression(tuple(sorted(out, key=lambda t: (t.factors, t.exponent))))
+        exponent = [mi - sum(f[i] for f in fac) for i, mi in enumerate(m)]
+        text = ("" if coeff == 1 else f"{coeff}*") + f"x^{_vec_str(exponent)}"
+        if fac:
+            text += " " + "∧".join(f"dx^{_vec_str(f)}" for f in fac)
+        out.append((fac, text))
+    # the monomial part is m minus the factors, so the factors fix the order
+    return " + ".join(text for _, text in sorted(out, key=lambda t: t[0])) or "0"

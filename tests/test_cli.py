@@ -42,11 +42,12 @@ class TestSpecLoading:
         m_side = exponent_cone(2, ((1, 0), (1, 2)), "M")
         assert m_side == cone
 
-    def test_bad_files(self, tmp_path):
+    def test_bad_files(self, tmp_path, capsys):
         cases = {
             "notjson.json": "{",
             "nonobject.json": "[1, 2]",
             "missing.json": '{"rays": [[1, 0]]}',
+            "scalarrays.json": '{"lattice_rank": 1, "rays": 5}',
             "badrank.json": '{"lattice_rank": 0, "rays": [[1]]}',
             "hugerank.json": '{"lattice_rank": 1000, "rays": []}',
             "raggedray.json": '{"lattice_rank": 2, "rays": [[1, 0], [1]]}',
@@ -59,8 +60,12 @@ class TestSpecLoading:
         for name, text in cases.items():
             path = tmp_path / name
             path.write_text(text)
-            with pytest.raises(ConeSpecError):
+            with pytest.raises(ConeSpecError) as refused:
                 load_cone_spec(path)
+            # the CLI refuses the same file with exit 2 and that message
+            assert run_cli("dual", path, capsys=capsys) == (2, "", f"error: {refused.value}\n")
+        message = f"error: {tmp_path / 'scalarrays.json'}: rays must be a list of integer vectors\n"
+        assert run_cli("dual", tmp_path / "scalarrays.json", capsys=capsys)[2] == message
 
 
 class TestCommands:
@@ -187,10 +192,9 @@ class TestCommands:
 
             def broken_phi(cone, m, p):
                 got = real_phi(cone, m, p)
-                if not got[1].matrix:
+                if not got[1]:
                     return got
-                M = tuple((0, *row[1:]) for row in got[1].matrix)
-                return (got[0], cartier.PhiMap(m, got[1].target_degree, 1, M)) + got[2:]
+                return (got[0], tuple((0, *row[1:]) for row in got[1])) + got[2:]
 
             monkeypatch.setattr(cartier, "phi", broken_phi)
         args = ("cartier", ORTHANT, "--p", "2", "--bound", "1", "--format", "json")
@@ -263,6 +267,9 @@ class TestExitCodes:
     def test_malformed_degree(self, capsys):
         code, _, err = run_cli("vm", CONE, "--degree", "1,x", capsys=capsys)
         assert code == 2
+        for degree in ("1", "1,0,0"):
+            got = run_cli("vm", CONE, "--degree", degree, capsys=capsys)
+            assert got == (2, "", f"error: degree {degree!r} does not have 2 entries\n")
 
     @pytest.mark.parametrize(
         "level, message",
@@ -343,6 +350,21 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_exit_141_when_the_reader_leaves_mid_stream(self):
+        # as `| head -c 1` does: one byte read, then the pipe closes while
+        # the rows are still being written
+        argv = ("cohomology", "cones/square-3d.json", "--p", "7", "--bound", "40", "--format", "csv")
+        with subprocess.Popen(
+            [sys.executable, "-m", "toricdiff", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=str(CONE_DIR.parent),
+        ) as proc:
+            assert proc.stdout.read(1) == b"m"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b"")
 
 
 class TestDeterminism:

@@ -134,6 +134,9 @@ class TestLazyExports:
             "GradedPiece",
             "graded_piece",
             "reduce_mod_p",
+            "PhiMap",
+            "FormTerm",
+            "FormExpression",
         ):
             with pytest.raises(AttributeError, match=name):
                 getattr(toricdiff, name)
