@@ -34,9 +34,10 @@ print("V_(2,1) basis over QQ:", fmt(degree_subspace(plane, m, 0).basis))
 
 # The degree m complex is the exterior algebra on V_m, with differential
 # "wedge with m".  Matrices are exact, rows indexed by the lexicographic
-# wedge basis of the target level.  Over QQ the coordinates of m are scaled
-# to the primitive integer vector on their line, which changes no rank, so
-# the entries are Python ints; (2,1) is already primitive.
+# wedge basis of the target level.  Their entries are the coordinates of m
+# in the reduced basis of V_m, which are m's own entries at the pivot
+# columns, so they are Python ints; here V_m is the whole plane and they
+# are 2 and 1.
 dc = degree_complex(plane, m, 0)
 print("level dimensions:", dc.dims)
 for a, D in enumerate(dc.differentials):

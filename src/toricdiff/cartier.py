@@ -78,7 +78,7 @@ def phi(cone, m, p):
     graded piece.
     """
     field = GF(p)
-    m = tuple(int(x) for x in m)
+    m = cone._point(m)
     pm = tuple(p * x for x in m)
     sub_m = degree_subspace(cone, m, p)
     sub_pm = degree_subspace(cone, pm, p)

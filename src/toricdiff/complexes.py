@@ -94,7 +94,7 @@ def degree_complex(cone, m, char):
     When m vanishes in V_m (over GF(p) exactly for m in p times the
     lattice, over QQ only for m = 0) every differential is the zero matrix.
     """
-    m = tuple(int(x) for x in m)
+    m = cone._point(m)
     field = field_of_characteristic(char)
     sub, w = _located_degree(cone._normals_of(cone._mask_of(m)), m, char)
     n = len(m)

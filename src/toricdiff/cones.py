@@ -23,10 +23,11 @@ from . import linalg
 from .linalg import (
     QQ,
     SaturatedLattice,
+    _int_vector,
     _transpose,
+    identity_matrix,
     imat,
     left_kernel,
-    rank,
     saturate,
     subspace,
 )
@@ -193,13 +194,7 @@ class Cone:
         return self._scan(bound)
 
     def _point(self, point):
-        v = []
-        for x in point:
-            n = int(x)
-            if n != x:
-                raise ValueError(f"point entries must be integers, got {x!r}")
-            v.append(n)
-        v = tuple(v)
+        v = _int_vector(point, "point")
         if len(v) != self.ambient_rank:
             raise ValueError("point length does not match the ambient rank")
         return v
@@ -319,37 +314,39 @@ def _double_description(ineqs, n):
 
 
 def _pointed_double_description(ineq_rows, r):
-    """Extreme rays of a cone ``{y : B y >= 0}`` known to be pointed.
+    """Extreme rays of a cone ``{y : A y >= 0}`` known to be pointed.
 
-    Pointedness means the inequality matrix has full column rank r, so an
-    independent subset of r inequalities cuts out a simplicial cone whose
-    rays seed the incremental insertion.  Adjacency of two rays is decided
-    by the rank of the inequalities active on both.
+    Pointedness means A has full column rank r, so r independent rows of A
+    cut out a simplicial cone whose rays seed the incremental insertion.
 
-    Every ray v carries its incidence mask ``tight[v]``: bit k is set when
-    v is tight on ``processed[k]``.  The seed rays get theirs from one pass
-    of dot products over the base rows.  Inserting a row, the rays it is tight on
-    gain its bit, and a fresh ray built from an adjacent pair (u, w) gets
-    ``tight[u] & tight[w]`` plus the new bit, with no dot product.  That is
-    exact: for a processed row b, ``<b, combo> = vals[u]<b, w> -
-    vals[w]<b, u>`` with ``vals[u] > 0 > vals[w]`` and both inner products
-    nonnegative, so it vanishes exactly when both do.  The rows active on a
-    pair are then read off the common mask, and :func:`_adjacent` only takes
-    a rank when there are enough of them.
+    Every ray v carries its incidence mask ``tight[v]``: bit i is set when
+    v is tight on row i, among the rows inserted so far.  Inserting a row,
+    the rays it is tight on gain its bit, and a fresh ray built from an
+    adjacent pair (u, w) gets ``tight[u] & tight[w]`` plus the new bit, with
+    no dot product.  That is exact: for an inserted row b, ``<b, combo> =
+    vals[u]<b, w> - vals[w]<b, u>`` with ``vals[u] > 0 > vals[w]`` and both
+    inner products nonnegative, so it vanishes exactly when both do.  After
+    each insertion the rays are exactly the extreme rays of the cone cut out
+    so far, so the masks decide adjacency with no rank (the combinatorial
+    test of Fukuda and Prodon): u and w span an edge when their common mask
+    has at least r - 2 bits and no third ray is tight on all of it.
     """
-    base = subspace(QQ, list(zip(*ineq_rows))).pivots
-    if len(base) != r:
+    m = len(ineq_rows)
+    # [A^T | I] reduces to [R | E] with E A^T = R.  R is the identity on its
+    # pivot columns, the base rows B, so E = (B^T)^-1: row j of E is tight on
+    # every base row but the j-th.  A pivot in the right block means A^T does
+    # not have full row rank.
+    reduced = subspace(QQ, [c + e for c, e in zip(zip(*ineq_rows), identity_matrix(r))])
+    base = reduced.pivots
+    if base[-1] >= m:
         raise AssertionError("inequality matrix does not have full column rank")
-    # the base rows B cut out a simplicial cone spanned by the columns of B^-1,
-    # and [B | I] reduces to [I | B^-1]
-    augmented = [list(ineq_rows[i]) + [int(j == k) for k in range(r)] for j, i in enumerate(base)]
-    rays = [_primitive(column) for column in zip(*(row[r:] for row in subspace(QQ, augmented).basis))]
-    processed = [ineq_rows[i] for i in base]
-    tight = {v: sum(1 << k for k, b in enumerate(processed) if _dot(b, v) == 0) for v in rays}
+    seed = sum(1 << i for i in base)
+    tight = {_primitive(row[m:]): seed ^ 1 << i for i, row in zip(base, reduced.basis)}
+    rays = list(tight)
     for i, row in enumerate(ineq_rows):
         if i in base:
             continue
-        bit = 1 << len(processed)
+        bit = 1 << i
         vals = {v: _dot(row, v) for v in rays}
         plus = [v for v in rays if vals[v] > 0]
         zero = [v for v in rays if vals[v] == 0]
@@ -361,24 +358,12 @@ def _pointed_double_description(ineq_rows, r):
             for u in plus:
                 for w in minus:
                     common = tight[u] & tight[w]
-                    if _adjacent(common, processed, r):
-                        combo = tuple(vals[u] * b - vals[w] * a for a, b in zip(u, w))
-                        fresh[_primitive(combo)] = common | bit
+                    if common.bit_count() < r - 2 or any(
+                        tight[v] & common == common for v in rays if v != u and v != w
+                    ):
+                        continue
+                    combo = tuple(vals[u] * b - vals[w] * a for a, b in zip(u, w))
+                    fresh[_primitive(combo)] = common | bit
             rays = plus + zero + sorted(fresh)
             tight = {v: tight[v] for v in plus + zero} | fresh
-        processed.append(row)
-    return sorted(set(rays))
-
-
-def _adjacent(common, processed, r):
-    """Whether two rays tight on the rows of mask ``common`` span an edge.
-
-    The rank of the active rows is at most their number, so a mask with
-    fewer than r - 2 bits is refused without taking a rank.
-    """
-    if common.bit_count() < r - 2:
-        return False
-    if not common:
-        return r == 2
-    active = [b for k, b in enumerate(processed) if common >> k & 1]
-    return rank(QQ, active) == r - 2
+    return sorted(rays)

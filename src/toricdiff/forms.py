@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .linalg import field_of_characteristic, kernel, lattice_subspace
+from .linalg import _int_vector, field_of_characteristic, kernel, lattice_subspace
 
 __all__ = [
     "facet_subspace",
@@ -217,10 +217,10 @@ def to_form(m, terms):
     >>> to_form((1, 0), [])
     '0'
     """
-    m = tuple(int(x) for x in m)
+    m = _int_vector(m, "degree")
     out = []
     for coeff, factors in terms:
-        fac = tuple(tuple(int(x) for x in f) for f in factors)
+        fac = tuple(_int_vector(f, "factor") for f in factors)
         for f in fac:
             if len(f) != len(m):
                 raise ValueError(f"factor {f} does not have the {len(m)} entries of degree {m}")

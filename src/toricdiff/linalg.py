@@ -79,6 +79,15 @@ def _as_int(x):
     return int(x)
 
 
+def _int_vector(v, what):
+    """The entries of v as ints; ``Fraction(2)`` and ``2.0`` pass, ``2.5`` is refused."""
+    v = tuple(v)
+    for x in v:
+        if int(x) != x:
+            raise ValueError(f"{what} entries must be integers, got {x!r}")
+    return tuple(map(int, v))
+
+
 def identity_matrix(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -271,6 +280,8 @@ class GF:
     """The field GF(p) for a prime p; elements are ints in ``[0, p)``."""
 
     def __init__(self, p):
+        if int(p) != p:
+            raise ValueError(f"the modulus must be an integer, got {p!r}")
         p = int(p)
         if p >= 2**31:
             raise ValueError("modulus too large, primes below 2**31 only")

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestPhi:
     def test_rejects_outside_degrees(self, quadric):
         with pytest.raises(NotInConeError):
             phi(quadric, (0, 1), 2)
+
+    @pytest.mark.parametrize("m", [(1.5, 0), (1, Fraction(1, 2))], ids=["float", "fraction"])
+    def test_rejects_non_integral_degrees(self, orthant, m):
+        # not truncated to the shift at (1, 0); integral values of any type still pass
+        with pytest.raises(ValueError, match="must be integers"):
+            phi(orthant, m, 2)
+        assert phi(orthant, (2.0, Fraction(1)), 2) == phi(orthant, (2, 1), 2)
 
 
 class TestWedgePowers:

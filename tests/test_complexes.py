@@ -47,6 +47,13 @@ class TestDegreeComplex:
         dc = degree_complex(orthant, (2, 2), 3)
         assert any(x != 0 for D in dc.differentials for row in D for x in row)
 
+    @pytest.mark.parametrize("m", [(2.5, 1), (2, Fraction(1, 3))], ids=["float", "fraction"])
+    def test_rejects_non_integral_degrees(self, orthant, m):
+        # not truncated to the complex at (2, 1); integral values of any type still pass
+        with pytest.raises(ValueError, match="must be integers"):
+            degree_complex(orthant, m, 0)
+        assert degree_complex(orthant, (2.0, Fraction(1)), 0).degree == (2, 1)
+
     def test_origin(self, orthant):
         dc = degree_complex(orthant, (0, 0), 0)
         assert dc.dims == (1, 0, 0)

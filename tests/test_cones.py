@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricdiff.cones as cones_module
+import toricdiff.linalg as linalg
 from toricdiff.cones import Cone, NotInConeError, NotPointedError
 from toricdiff.linalg import saturate
 
@@ -308,24 +309,57 @@ def _random_pointed_cone(rng, n, count):
             return rays
 
 
+# cones over a square, a 3-cube, an octahedron and a hexagon, and a half-plane,
+# with the number of rays of their duals
+DEGENERATE_CONES = {
+    "square-3d": ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 4),
+    "cube-4d": ([v + (1,) for v in itertools.product((-1, 1), repeat=3)], 6),
+    "octahedron-4d": (
+        [tuple(s * (i == j) for j in range(3)) + (1,) for i in range(3) for s in (1, -1)],
+        8,
+    ),
+    "hexagon-3d": ([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)], 6),
+    "halfplane": ([(1, 0), (-1, 0), (0, 1)], 1),
+}
+
+
 class TestDoubleDescriptionAgainstBruteForce:
     """The double description against an enumeration of ray subsets.
 
     A wrong adjacency test keeps rays that are not extreme, or drops some
-    that are, and on rank 6 cones this changes the dual; rank 6 is where the
-    rank test stops being implied by the count of common tight rows.
+    that are, and this changes the dual.  On the random cones and the cones
+    over polytopes alike, many pairs of rays share the r - 2 tight rows an
+    edge needs and are still refused, by a third ray tight on all of them.
     """
+
+    def _check(self, rays, n):
+        cone = Cone(rays)
+        normals = _brute_force_facets(rays, n)
+        assert set(cone.dual.rays) == normals, rays
+        extreme = {v for v in rays if _rank([u for u in normals if _dot(u, v) == 0]) == n - 1}
+        assert set(cone.rays) == extreme, rays
 
     @pytest.mark.parametrize("n, cones", [(4, 4), (5, 4), (6, 12)])
     def test_rays_and_facets(self, n, cones):
         rng = random.Random(20 + n)
         for _ in range(cones):
-            rays = _random_pointed_cone(rng, n, rng.randint(8, 11))
-            cone = Cone(rays)
-            normals = _brute_force_facets(rays, n)
-            assert set(cone.dual.rays) == normals, rays
-            extreme = {v for v in rays if _rank([u for u in normals if _dot(u, v) == 0]) == n - 1}
-            assert set(cone.rays) == extreme, rays
+            self._check(_random_pointed_cone(rng, n, rng.randint(8, 11)), n)
+
+    @pytest.mark.parametrize("name", ["cube-4d", "octahedron-4d", "hexagon-3d"])
+    def test_cones_over_polytopes(self, name):
+        rays, _ = DEGENERATE_CONES[name]
+        self._check(rays, len(rays[0]))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_CONES))
+    def test_building_a_cone_takes_no_rank(self, name, monkeypatch):
+        # the incidence masks decide every edge, so no rank is taken
+        def no_rank(rows):
+            raise AssertionError("the double description took a rank")
+
+        monkeypatch.setattr(linalg, "_rank_bareiss", no_rank)
+        rays, dual_rays = DEGENERATE_CONES[name]
+        cone = Cone(rays)
+        assert set(cone.rays) == set(rays) and len(cone.dual.rays) == dual_rays
 
 
 class TestPickling:

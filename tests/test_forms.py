@@ -219,6 +219,17 @@ class TestForms:
         assert to_form((2, 4), [(1, ((1, 2),))]) == "x^(1,2) dx^(1,2)"
         assert to_form((2, 4), [(-1, ())]) == "-1*x^(2,4)"
 
+    @pytest.mark.parametrize(
+        "m, factor",
+        [((2.9, 0), (1, 0)), ((2, 0), (1.5, 0)), ((2, Fraction(1, 2)), (1, 0))],
+        ids=["degree", "factor", "fraction"],
+    )
+    def test_refuses_non_integral_entries(self, m, factor):
+        # not truncated to x^(1,0) dx^(1,0); integral values of any type still pass
+        with pytest.raises(ValueError, match="must be integers"):
+            to_form(m, [(1, (factor,))])
+        assert to_form((2.0, Fraction(0)), [(1, ((Fraction(1), 0.0),))]) == "x^(1,0) dx^(1,0)"
+
     @pytest.mark.parametrize("factor", [(1, 0, 5), (1,)], ids=["longer", "shorter"])
     def test_factor_length_must_match_the_degree(self, factor):
         with pytest.raises(ValueError, match="entries of degree"):

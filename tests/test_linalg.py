@@ -7,6 +7,7 @@ from toricdiff.linalg import (
     GF,
     QQ,
     Subspace,
+    field_of_characteristic,
     full_space,
     hnf,
     identity_matrix,
@@ -171,6 +172,17 @@ class TestFields:
             GF(2**31 + 11)
         with pytest.raises(ZeroDivisionError):
             GF(5).inv(0)
+
+    @pytest.mark.parametrize(
+        "p", [2.5, Fraction(7, 2), 3.9], ids=["float", "fraction", "just-below-a-prime"]
+    )
+    def test_rejects_a_non_integral_modulus(self, p):
+        # not truncated to GF(2) or GF(3); integral values of any type still pass
+        with pytest.raises(ValueError, match="must be an integer"):
+            GF(p)
+        with pytest.raises(ValueError, match="must be an integer"):
+            field_of_characteristic(p)
+        assert GF(Fraction(3)) == GF(3.0) == GF(numpy.int64(3)) == GF(3)
 
     def test_fields_compare_and_hash_by_value(self):
         # GF(5) builds a new field on every call: equality and hashing go by the modulus
