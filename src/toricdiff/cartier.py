@@ -35,7 +35,7 @@ from math import comb
 
 from .complexes import _box_cohomology, _CsvRows
 from .forms import _located_degree, degree_subspace, wedge_matrix, wedge_subsets
-from .linalg import GF, identity_matrix, mat_mul, rank
+from .linalg import GF, _integer, identity_matrix, mat_mul, rank
 
 __all__ = [
     "phi",
@@ -78,6 +78,7 @@ def phi(cone, m, p):
     graded piece.
     """
     field = GF(p)
+    p = field.characteristic
     m = cone._point(m)
     pm = tuple(p * x for x in m)
     sub_m = degree_subspace(cone, m, p)
@@ -86,12 +87,8 @@ def phi(cone, m, p):
         raise ArithmeticError(
             f"internal error: subspaces at {m} and {pm} disagree, the degree shift is broken"
         )
-    rows = []
-    for basis_row in sub_m.basis:
-        coords = sub_pm.coordinates_of(basis_row)
-        if coords is None:
-            raise ArithmeticError("internal error: basis row escaped the target subspace")
-        rows.append(coords)
+    # sub_m == sub_pm, so every basis row has coordinates in sub_pm
+    rows = [sub_pm.coordinates_of(row) for row in sub_m.basis]
     levels = _wedge_powers(field, rows, cone.ambient_rank)
     for a, M in enumerate(levels):
         if rank(field, M) != len(M):
@@ -224,9 +221,10 @@ def verify_isomorphism(cone, bound, p):
     ``x^((p-1)m)`` holds for any integer m and any p; it is a property of
     the form printer, tested with it.
     """
+    bound = _integer(bound, "the bound must be an integer")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    GF(p)  # refuses a composite modulus before the scan
+    p = GF(p).characteristic  # refuses a composite modulus before the scan
     n = cone.ambient_rank
     rows = _CsvRows(_box_cohomology(cone, p * bound, p), n)
     targets = []  # (md, cohomology at md) for every p-divisible md, in scan order

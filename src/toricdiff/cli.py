@@ -58,7 +58,8 @@ class ConeSpecError(ValueError):
 
 
 def load_cone_spec(path):
-    """Read and validate a cone file; returns ``(lattice_rank, rays, space)``."""
+    """Read and validate a cone file; returns ``(lattice_rank, rays, space)``.
+    A file is exact JSON text, so unlike ``linalg._integer`` it refuses ``1.0`` and ``true``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -52,7 +52,7 @@ except ImportError:
         from hashlib import sha256
 
 from .forms import _located_degree, _prove_koszul, wedge_matrix
-from .linalg import field_of_characteristic, mat_mul, rank, sparse_rank
+from .linalg import _integer, field_of_characteristic, mat_mul, rank, sparse_rank
 
 __all__ = [
     "DegreeComplex",
@@ -96,6 +96,7 @@ def degree_complex(cone, m, char):
     """
     m = cone._point(m)
     field = field_of_characteristic(char)
+    char = field.characteristic
     sub, w = _located_degree(cone._normals_of(cone._mask_of(m)), m, char)
     n = len(m)
     diffs = [wedge_matrix(field, w, a) for a in range(n)]
@@ -191,6 +192,8 @@ class _CsvRows:
 
 def cohomology_table(cone, bound, char):
     """Cohomology of every degree in the box, gathered from :func:`_box_cohomology`."""
+    bound = _integer(bound, "the bound must be an integer")
+    char = field_of_characteristic(char).characteristic
     return CohomologyTable(cone.rays, char, bound, dict(_box_cohomology(cone, bound, char)))
 
 
@@ -261,6 +264,7 @@ def poincare_check(cone, bound):
     coordinate ring has no invertible variables); without one the check is
     refused rather than reported as a failure.
     """
+    bound = _integer(bound, "the bound must be an integer")
     if not cone.has_vertex():
         raise NoVertexError(
             "exponent cone contains a line; the exactness statement requires a vertex"
@@ -315,7 +319,7 @@ def _oracle(cone, bound, char):
     n = cone.ambient_rank
     data = []
     for m, mask in cone.lattice_points(bound):
-        sub, w = _located_degree(cone._normals_of(mask), m, char)
+        sub, w = _located_degree(cone._normals_of(mask), m, field.characteristic)
         data.append((sub.dim, w))
     totals = [sum(comb(d, a) for d, _ in data) for a in range(n + 1)]
     ranks = [sparse_rank(field, _oracle_columns(field, data, a)) for a in range(n)]

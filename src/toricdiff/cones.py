@@ -24,6 +24,7 @@ from .linalg import (
     QQ,
     SaturatedLattice,
     _int_vector,
+    _integer,
     _transpose,
     identity_matrix,
     imat,
@@ -150,12 +151,11 @@ class Cone:
 
     def facets_containing(self, point):
         """Facets through a lattice point of the cone; interior points give ()."""
-        mask = self._mask_of(point)
+        mask = self._mask_of(self._point(point))
         return tuple(f for f in self.facets if mask >> f.index & 1)
 
-    def _mask_of(self, point):
-        """Facet bitmask of a lattice point of the cone (see :meth:`lattice_points`)."""
-        v = self._point(point)
+    def _mask_of(self, v):
+        """Facet bitmask of a lattice point v of the cone, already read by :meth:`_point`."""
         mask = self._point_mask(v)
         if mask is None:
             raise NotInConeError(f"{v} is not a lattice point of the cone")
@@ -183,6 +183,7 @@ class Cone:
         time, whatever the rank and the bound.  A box of more than
         ``_MAX_BOX_POINTS`` points is refused here, before the scan starts.
         """
+        bound = _integer(bound, "the bound must be an integer")
         if bound < 0:
             raise ValueError("bound must be nonnegative")
         size = (2 * bound + 1) ** self.ambient_rank
@@ -262,18 +263,12 @@ class Cone:
 
 
 def _sanitize(rays, ambient_rank):
-    vecs = []
-    for ray in rays:
-        vec = []
-        for x in ray:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"ray entries must be integers, got {x!r}")
-            vec.append(int(x))
-        vecs.append(tuple(vec))
+    vecs = [_int_vector(ray, "ray") for ray in rays]
     if ambient_rank is None:
         if not vecs:
             raise ValueError("ambient_rank is required for a cone with no generators")
         ambient_rank = len(vecs[0])
+    ambient_rank = _integer(ambient_rank, "the ambient rank must be an integer")
     if any(len(v) != ambient_rank for v in vecs):
         raise ValueError("ray length does not match the ambient rank")
     out = sorted({_primitive(v) for v in vecs if any(v)})

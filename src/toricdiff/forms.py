@@ -154,8 +154,9 @@ def degree_subspace(cone, m, char):
     lattices first, which could come out too small mod p.  The vector m
     itself always lies in V_m, and that is asserted on every call.
     """
-    normals = cone._normals_of(cone._mask_of(m))
-    return _located_degree(normals, tuple(int(x) for x in m), char)[0]
+    m = cone._point(m)
+    char = field_of_characteristic(char).characteristic
+    return _located_degree(cone._normals_of(cone._mask_of(m)), m, char)[0]
 
 
 def _located_degree(normals, m, char):

@@ -58,9 +58,9 @@ def imat(rows, ncols=None):
     """Integer matrix, a tuple of row tuples, from an iterable of rows.
 
     ``ncols`` fixes the width of a matrix with no rows, which is otherwise
-    ambiguous.  Entries must be integers (bools are rejected).
+    ambiguous.  Entries are read by :func:`_integer`.
     """
-    M = tuple(tuple(_as_int(x) for x in row) for row in rows)
+    M = tuple(_int_vector(row, "matrix") for row in rows)
     if not M:
         if ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
@@ -73,19 +73,22 @@ def imat(rows, ncols=None):
     return M
 
 
-def _as_int(x):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"not an integer entry: {x!r}")
-    return int(x)
+def _integer(x, rule):
+    """x as an int: the one integer test of library input.  Any x but a bool with
+    ``int(x) == x`` passes (numpy ints, ``Fraction(2)``, ``2.0``); else ValueError(rule)."""
+    if type(x) is int:
+        return x
+    try:
+        if not isinstance(x, bool) and int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise ValueError(f"{rule}, got {x!r}")
 
 
 def _int_vector(v, what):
-    """The entries of v as ints; ``Fraction(2)`` and ``2.0`` pass, ``2.5`` is refused."""
-    v = tuple(v)
-    for x in v:
-        if int(x) != x:
-            raise ValueError(f"{what} entries must be integers, got {x!r}")
-    return tuple(map(int, v))
+    rule = f"{what} entries must be integers"
+    return tuple(_integer(x, rule) for x in v)
 
 
 def identity_matrix(n):
@@ -280,9 +283,7 @@ class GF:
     """The field GF(p) for a prime p; elements are ints in ``[0, p)``."""
 
     def __init__(self, p):
-        if int(p) != p:
-            raise ValueError(f"the modulus must be an integer, got {p!r}")
-        p = int(p)
+        p = _integer(p, "the modulus must be an integer")
         if p >= 2**31:
             raise ValueError("modulus too large, primes below 2**31 only")
         if not is_prime(p):
@@ -374,10 +375,8 @@ class Subspace:
 
     @cached_property
     def pivots(self):
-        out = []
-        for row in self.basis:
-            out.append(next(j for j, x in enumerate(row) if x != self.field.zero))
-        return tuple(out)
+        zero = self.field.zero
+        return tuple(next(j for j, x in enumerate(row) if x != zero) for row in self.basis)
 
     def coordinates_of(self, vec):
         """Coefficients of ``vec`` in the reduced basis, or None if outside."""

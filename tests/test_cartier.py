@@ -18,7 +18,7 @@ from toricdiff.cones import Cone, NotInConeError
 from toricdiff.forms import degree_subspace
 from toricdiff.linalg import GF
 
-from tests.conftest import cone_points, load_exponent_cone
+from tests.conftest import INTEGER_INPUTS, check_integer_input, cone_points, load_exponent_cone
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,13 @@ class TestPhi:
         with pytest.raises(ValueError, match="must be integers"):
             phi(orthant, m, 2)
         assert phi(orthant, (2.0, Fraction(1)), 2) == phi(orthant, (2, 1), 2)
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call", [lambda c, x: phi(c, (x, 0), 2), lambda c, x: phi(c, (1, 0), x)], ids=["degree", "p"]
+    )
+    def test_degree_and_p_follow_the_integer_rule(self, orthant, call, x, accepted):
+        check_integer_input(lambda x: call(orthant, x), x, accepted)
 
 
 class TestWedgePowers:
@@ -263,6 +270,15 @@ class TestVerifyIsomorphism:
     def test_bound_validation(self, orthant):
         with pytest.raises(ValueError):
             verify_isomorphism(orthant, 0, 2)
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda c, x: verify_isomorphism(c, x, 2), lambda c, x: verify_isomorphism(c, 1, x)],
+        ids=["bound", "p"],
+    )
+    def test_bound_and_p_follow_the_integer_rule(self, quadric, call, x, accepted):
+        check_integer_input(lambda x: call(quadric, x), x, accepted)
 
     def test_level_dim_bookkeeping(self, orthant):
         # over the smooth chart the source dims are binomial sums driven by

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import cone_points
+from tests.conftest import INTEGER_INPUTS, check_integer_input, cone_points
 from tests.structural import random_exponent_cones
 from toricdiff import complexes, forms
 from toricdiff.cones import Cone
@@ -53,6 +53,15 @@ class TestDegreeComplex:
         with pytest.raises(ValueError, match="must be integers"):
             degree_complex(orthant, m, 0)
         assert degree_complex(orthant, (2.0, Fraction(1)), 0).degree == (2, 1)
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda c, x: degree_complex(c, (x, 1), 0), lambda c, x: degree_complex(c, (1, 1), x)],
+        ids=["degree", "char"],
+    )
+    def test_degree_and_char_follow_the_integer_rule(self, orthant, call, x, accepted):
+        check_integer_input(lambda x: call(orthant, x), x, accepted)
 
     def test_origin(self, orthant):
         dc = degree_complex(orthant, (0, 0), 0)
@@ -144,6 +153,15 @@ def test_box_stream_agrees_with_ranks(seed, char):
 
 
 class TestCohomologyTable:
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda c, x: cohomology_table(c, x, 0), lambda c, x: cohomology_table(c, 1, x)],
+        ids=["bound", "char"],
+    )
+    def test_bound_and_char_follow_the_integer_rule(self, quadric, call, x, accepted):
+        check_integer_input(lambda x: call(quadric, x), x, accepted)
+
     def test_quadric_mod_2_small_box(self, quadric):
         table = cohomology_table(quadric, 2, 2)
         assert table.entries == {
@@ -241,8 +259,21 @@ class TestPoincare:
     def test_text_says_pass(self, orthant):
         assert "PASS" in poincare_check(orthant, 2).to_text()
 
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    def test_bound_follows_the_integer_rule(self, orthant, x, accepted):
+        check_integer_input(lambda x: poincare_check(orthant, x), x, accepted)
+
 
 class TestOracle:
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda c, x: oracle_full_complex(c, x, 0), lambda c, x: oracle_full_complex(c, 1, x)],
+        ids=["bound", "char"],
+    )
+    def test_bound_and_char_follow_the_integer_rule(self, quadric, call, x, accepted):
+        check_integer_input(lambda x: call(quadric, x), x, accepted)
+
     def test_orthant_box_two_mod_two(self, orthant):
         assert oracle_full_complex(orthant, 2, 2) == (4, 4, 1)
 

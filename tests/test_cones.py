@@ -13,7 +13,7 @@ import toricdiff.linalg as linalg
 from toricdiff.cones import Cone, NotInConeError, NotPointedError
 from toricdiff.linalg import saturate
 
-from tests.conftest import cone_points
+from tests.conftest import INTEGER_INPUTS, check_integer_input, cone_points
 
 
 class TestDuality:
@@ -73,6 +73,15 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             Cone([(True, False)])
 
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    def test_ray_entries_follow_the_integer_rule(self, x, accepted):
+        check_integer_input(lambda x: Cone([(x, 0), (0, 1)]), x, accepted)
+
+    # None is the default ambient rank, the length of the rays
+    @pytest.mark.parametrize("x, accepted", [p for p in INTEGER_INPUTS if p.id != "None"])
+    def test_ambient_rank_follows_the_integer_rule(self, x, accepted):
+        check_integer_input(lambda x: Cone([], ambient_rank=x), x, accepted)
+
 
 class TestMembership:
     def test_quadric_exponents(self):
@@ -93,6 +102,18 @@ class TestMembership:
         with pytest.raises(ValueError, match="0.7"):
             orthant.facets_containing((0.7, 2))
         assert orthant.contains((1.0, 2)) and orthant.facets_containing((0.0, 2))
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: Cone([(1, 0), (0, 1)]).contains((x, 0)),
+            lambda x: Cone([(1, 0), (0, 1)]).facets_containing((x, 0)),
+        ],
+        ids=["contains", "facets_containing"],
+    )
+    def test_points_follow_the_integer_rule(self, call, x, accepted):
+        check_integer_input(call, x, accepted)
 
 
 class TestFacets:
@@ -173,6 +194,10 @@ class TestLatticePoints:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             Cone([(1, 0), (0, 1)]).lattice_points(-1)
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    def test_bound_follows_the_integer_rule(self, x, accepted):
+        check_integer_input(lambda x: list(Cone([(1, 0), (0, 1)]).lattice_points(x)), x, accepted)
 
     def test_halfplane_points(self):
         # exponent cone with a line: every degree on the horizontal axis

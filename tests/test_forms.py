@@ -16,6 +16,8 @@ from toricdiff.forms import (
 )
 from toricdiff.linalg import GF, QQ, field_of_characteristic, subspace
 
+from tests.conftest import INTEGER_INPUTS, check_integer_input
+
 
 @pytest.fixture(scope="module")
 def quadric():
@@ -65,6 +67,15 @@ class TestDegreeSubspace:
             degree_subspace(quadric, (0, 1), 0)
         with pytest.raises(ValueError, match="0.5"):
             degree_subspace(quadric, (1, 0.5), 0)
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda c, x: degree_subspace(c, (x, 0), 0), lambda c, x: degree_subspace(c, (1, 0), x)],
+        ids=["degree", "char"],
+    )
+    def test_degree_and_char_follow_the_integer_rule(self, quadric, call, x, accepted):
+        check_integer_input(lambda x: call(quadric, x), x, accepted)
 
     def test_scale_invariance(self, quadric):
         for m in ((1, 0), (1, 2), (1, 1), (0, 0)):
@@ -229,6 +240,15 @@ class TestForms:
         with pytest.raises(ValueError, match="must be integers"):
             to_form(m, [(1, (factor,))])
         assert to_form((2.0, Fraction(0)), [(1, ((Fraction(1), 0.0),))]) == "x^(1,0) dx^(1,0)"
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda x: to_form((x, 0), [(1, ((1, 0),))]), lambda x: to_form((3, 0), [(1, ((x, 0),))])],
+        ids=["degree", "factor"],
+    )
+    def test_entries_follow_the_integer_rule(self, call, x, accepted):
+        check_integer_input(call, x, accepted)
 
     @pytest.mark.parametrize("factor", [(1, 0, 5), (1,)], ids=["longer", "shorter"])
     def test_factor_length_must_match_the_degree(self, factor):

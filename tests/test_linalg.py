@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy
 import pytest
 
+from tests.conftest import INTEGER_INPUTS, check_integer_input
 from toricdiff.linalg import (
     GF,
     QQ,
@@ -72,6 +73,20 @@ class TestHNF:
             imat([[1.5, 2]])
         with pytest.raises(ValueError):
             imat([[True, False]])
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: imat([[x, 4]]),
+            lambda x: hnf([[x, 4]]),
+            lambda x: left_kernel([[x, 4], [1, 2]]),
+            lambda x: saturate([[x, 4]]),
+        ],
+        ids=["imat", "hnf", "left_kernel", "saturate"],
+    )
+    def test_entries_follow_the_integer_rule(self, call, x, accepted):
+        check_integer_input(call, x, accepted)
 
 
 class TestLeftKernel:
@@ -183,6 +198,11 @@ class TestFields:
         with pytest.raises(ValueError, match="must be an integer"):
             field_of_characteristic(p)
         assert GF(Fraction(3)) == GF(3.0) == GF(numpy.int64(3)) == GF(3)
+
+    @pytest.mark.parametrize("x, accepted", INTEGER_INPUTS)
+    @pytest.mark.parametrize("call", [GF, field_of_characteristic], ids=["GF", "field_of_char"])
+    def test_moduli_follow_the_integer_rule(self, call, x, accepted):
+        check_integer_input(call, x, accepted)
 
     def test_fields_compare_and_hash_by_value(self):
         # GF(5) builds a new field on every call: equality and hashing go by the modulus
