@@ -13,6 +13,7 @@ from toricdiff import (
     Cone,
     cohomology_table,
     phi,
+    report_text,
     to_form,
     verify_isomorphism,
 )
@@ -44,6 +45,6 @@ print("generator image:", to_form(tuple(p * x for x in m), [(1, (m,))]))
 # induces an isomorphism onto cohomology level by level.  The same pass
 # checks the generator identity over the box.
 report = verify_isomorphism(quadric, bound=2, p=p)
-print("generator identity over the box:", "PASS" if report.generator.passed else "FAIL")
+print("generator identity over the box:", "PASS" if report["generator_identity"]["passed"] else "FAIL")
 print()
-print(report.to_text())
+print(report_text(report))

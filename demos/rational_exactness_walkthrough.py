@@ -16,6 +16,7 @@ from toricdiff import (
     degree_complex,
     degree_subspace,
     poincare_check,
+    poincare_text,
 )
 
 # Exponent cone = first quadrant, i.e. the affine plane as a toric variety.
@@ -56,7 +57,7 @@ for probe in [(3, 0), (0, 0)]:
 # the cone in a box and reports violations (there are none).
 report = poincare_check(plane, bound=4)
 print()
-print(report.to_text())
+print(poincare_text(report))
 
 # The statement genuinely needs a vertex.  A cone whose dual contains a
 # line is rejected up front instead of producing a misleading table.

@@ -18,6 +18,7 @@ from toricdiff import (
     degree_subspace,
     facet_subspace,
     oracle_full_complex,
+    report_text,
     verify_isomorphism,
 )
 
@@ -63,7 +64,7 @@ print("quadric origin cohomology mod 2:", h2, " mod 3:", h3)
 square = Cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]).dual
 print()
 print("cone over a square: exponent rays", square.rays)
-print(verify_isomorphism(square, bound=1, p=3).to_text())
+print(report_text(verify_isomorphism(square, bound=1, p=3)))
 table = cohomology_table(square, bound=2, char=2)
 sums = [0, 0, 0, 0]
 for h in table.entries.values():

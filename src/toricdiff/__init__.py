@@ -6,8 +6,9 @@ geometry, :mod:`toricdiff.forms` the graded subspace model of the forms,
 :mod:`toricdiff.complexes` the per-degree complexes with their cohomology
 and the whole-box oracle, and :mod:`toricdiff.cartier` the characteristic-p
 verification suite.  :mod:`toricdiff.cli` exposes all of it on the command
-line: it chooses the output form and encodes the JSON, and the reports
-write their own text.
+line: it chooses the output form and encodes the JSON.  The two checks,
+``poincare_check`` and ``verify_isomorphism``, return their JSON documents
+as plain dicts, and their modules write the text of those dicts.
 
 Importing the package loads none of these modules.  Each export in
 ``__all__``, and each of the modules from ``linalg`` to ``cartier``,
@@ -48,18 +49,17 @@ _EXPORTS = {
         "NoVertexError",
         "CohomologyTable",
         "DegreeComplex",
-        "PoincareReport",
         "cohomology",
         "cohomology_table",
         "degree_complex",
         "oracle_full_complex",
         "poincare_check",
+        "poincare_text",
     ),
     "cartier": (
-        "CartierReport",
-        "CheckResult",
-        "LevelSummary",
+        "generator_text",
         "phi",
+        "report_text",
         "verify_isomorphism",
     ),
 }

@@ -29,7 +29,6 @@ streams by: only its p-divisible degrees and the cohomology there stay.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from math import comb
 
@@ -39,10 +38,9 @@ from .linalg import GF, _integer, identity_matrix, mat_mul, rank
 
 __all__ = [
     "phi",
-    "CheckResult",
-    "LevelSummary",
-    "CartierReport",
     "verify_isomorphism",
+    "report_text",
+    "generator_text",
 ]
 
 
@@ -96,98 +94,38 @@ def phi(cone, m, p):
     return levels
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one verification pass over a box of source degrees."""
-
-    name: str
-    checked: int
-    violations: tuple
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def to_text(self):
-        state = "PASS" if self.passed else "FAIL"
-        lines = [f"{self.name}: checked {self.checked} degrees: {state}"]
-        lines.extend(f"  {v}" for v in self.violations)
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# the full isomorphism report
-
-
-@dataclass
-class LevelSummary:
-    """Per wedge level outcome of the isomorphism verification."""
-
-    a: int
-    sources_checked: int
-    chain_map_ok: bool
-    split_ok: bool
-    isomorphism_ok: bool
-    source_dim_total: int
-    cohomology_dim_total: int
-
-
-@dataclass
-class CartierReport:
-    """Aggregated outcome of the characteristic-p verification over a box."""
-
-    rays: tuple
-    p: int
-    bound: int
-    target_bound: int
-    levels: tuple
-    concentration_ok: bool
-    target_degrees: int
-    violations: tuple
-    table_hash: str
-    generator: CheckResult
-
-    @property
-    def passed(self):
-        return (
-            self.concentration_ok
-            and not self.violations
-            and self.generator.passed
-            and all(
-                lv.chain_map_ok and lv.split_ok and lv.isomorphism_ok
-                for lv in self.levels
-            )
-        )
-
-    def payload(self):
-        """The report as JSON-ready data: its fields, the overall verdict, and
-        the generator identity with its own verdict as ``generator_identity``."""
-        data = asdict(self) | {"passed": self.passed}
-        generator = data.pop("generator")
-        del generator["name"]
-        return data | {"generator_identity": generator | {"passed": self.generator.passed}}
-
-    def to_text(self):
-        lines = [
-            f"cartier verification: p={self.p}, source bound={self.bound} "
-            f"(targets scanned to {self.target_bound})"
-        ]
-        for lv in self.levels:
-            lines.append(
-                f"  a={lv.a}: sources={lv.sources_checked}, "
-                f"chain map {'PASS' if lv.chain_map_ok else 'FAIL'}, "
-                f"splitting {'PASS' if lv.split_ok else 'FAIL'}, "
-                f"isomorphism {'PASS' if lv.isomorphism_ok else 'FAIL'} "
-                f"(source dim {lv.source_dim_total}, cohomology dim {lv.cohomology_dim_total})"
-            )
+def report_text(report):
+    """The text of a :func:`verify_isomorphism` report: one line per level, the
+    concentration flag, each violation, and the overall verdict."""
+    lines = [
+        f"cartier verification: p={report['p']}, source bound={report['bound']} "
+        f"(targets scanned to {report['target_bound']})"
+    ]
+    for lv in report["levels"]:
         lines.append(
-            f"  off-multiple degrees carry no cohomology: "
-            f"{'PASS' if self.concentration_ok else 'FAIL'} "
-            f"({self.target_degrees} target degrees)"
+            f"  a={lv['a']}: sources={lv['sources_checked']}, "
+            f"chain map {'PASS' if lv['chain_map_ok'] else 'FAIL'}, "
+            f"splitting {'PASS' if lv['split_ok'] else 'FAIL'}, "
+            f"isomorphism {'PASS' if lv['isomorphism_ok'] else 'FAIL'} "
+            f"(source dim {lv['source_dim_total']}, cohomology dim {lv['cohomology_dim_total']})"
         )
-        lines.extend(f"  violation: {v}" for v in self.violations)
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
+    lines.append(
+        f"  off-multiple degrees carry no cohomology: "
+        f"{'PASS' if report['concentration_ok'] else 'FAIL'} "
+        f"({report['target_degrees']} target degrees)"
+    )
+    lines.extend(f"  violation: {v}" for v in report["violations"])
+    lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
+    return "\n".join(lines)
+
+
+def generator_text(report):
+    """The text of the generator identity of a :func:`verify_isomorphism` report."""
+    generator = report["generator_identity"]
+    state = "PASS" if generator["passed"] else "FAIL"
+    lines = [f"generator identity: checked {generator['checked']} degrees: {state}"]
+    lines.extend(f"  {v}" for v in generator["violations"])
+    return "\n".join(lines)
 
 
 def verify_isomorphism(cone, bound, p):
@@ -200,7 +138,15 @@ def verify_isomorphism(cone, bound, p):
     composite with the projection is the identity, and the induced map
     into cohomology at pm is bijective (injective by rank, surjective by
     dimension count against the cohomology at pm); (iii) the generator
-    identity, reported as ``generator``.
+    identity, reported as ``generator_identity``.
+
+    Returns the JSON document of the check, a dict: ``rays``, ``p``,
+    ``bound``, ``target_bound``, one ``levels`` entry per wedge level a
+    (``sources_checked``, the ``chain_map_ok``, ``split_ok`` and
+    ``isomorphism_ok`` flags, ``source_dim_total`` and
+    ``cohomology_dim_total``), ``concentration_ok``, ``target_degrees``,
+    ``violations``, ``table_hash``, ``passed`` and ``generator_identity``
+    (``checked``, ``violations``, ``passed``).
 
     The chain-map and isomorphism flags read the cohomology row at pm that
     the target scan already holds.  The differential at pm is wedging with
@@ -235,7 +181,18 @@ def verify_isomorphism(cone, bound, p):
         elif any(h):
             violations.append(f"degree {md}: cohomology {h} away from the multiples of {p}")
     concentration_ok = not violations
-    levels = tuple(LevelSummary(a, 0, True, True, True, 0, 0) for a in range(n + 1))
+    levels = tuple(
+        {
+            "a": a,
+            "sources_checked": 0,
+            "chain_map_ok": True,
+            "split_ok": True,
+            "isomorphism_ok": True,
+            "source_dim_total": 0,
+            "cohomology_dim_total": 0,
+        }
+        for a in range(n + 1)
+    )
     types = {}  # per facet mask: whether each level of the shift is the identity, and C(dim V_m, a)
     drifts = []
     sources = zip_longest(targets, cone.lattice_points(bound), fillvalue=((), None))
@@ -249,38 +206,40 @@ def verify_isomorphism(cone, bound, p):
             kind = types[mask] = split, tuple(comb(sub.dim, a) for a in range(n + 1))
         split, whole = kind
         zero = hs == whole  # the whole wedge algebra survives: the differential at pm is zero
-        for lv, src_dim, split_a in zip(levels, whole, split):
-            a = lv.a
+        for a, (lv, src_dim, split_a) in enumerate(zip(levels, whole, split)):
             induced = src_dim if zero else 0
-            lv.sources_checked += 1
-            lv.source_dim_total += src_dim
-            lv.cohomology_dim_total += hs[a]
+            lv["sources_checked"] += 1
+            lv["source_dim_total"] += src_dim
+            lv["cohomology_dim_total"] += hs[a]
             if not (zero or a == n):
-                lv.chain_map_ok = False
+                lv["chain_map_ok"] = False
                 violations.append(f"degree {m}, a={a}: shift image is not closed")
             if not split_a:
-                lv.split_ok = False
+                lv["split_ok"] = False
                 violations.append(
                     f"degree {m}, a={a}: projection composed with the shift is not the identity"
                 )
             if induced != src_dim or hs[a] != src_dim:
-                lv.isomorphism_ok = False
+                lv["isomorphism_ok"] = False
                 violations.append(
                     f"degree {m}, a={a}: induced rank {induced} of {src_dim}, "
                     f"cohomology dimension {hs[a]}"
                 )
         if any(m) and w != degree_subspace(cone, pm, p).coordinates_of(m):
             drifts.append(f"degree {m}: wedge coordinates drift under the shift")
-    return CartierReport(
-        cone.rays,
-        p,
-        bound,
-        p * bound,
-        levels,
-        concentration_ok,
-        rows.count,
-        tuple(violations),
-        rows.hexdigest(),
-        # every source degree but the origin, which is always a cone point
-        CheckResult("generator identity", len(targets) - 1, tuple(drifts)),
-    )
+    # every source degree but the origin, which is always a cone point
+    generator = {"checked": len(targets) - 1, "violations": tuple(drifts), "passed": not drifts}
+    return {
+        "rays": cone.rays,
+        "p": p,
+        "bound": bound,
+        "target_bound": p * bound,
+        "levels": levels,
+        "concentration_ok": concentration_ok,
+        "target_degrees": rows.count,
+        "violations": tuple(violations),
+        "table_hash": rows.hexdigest(),
+        # a failing level flag always adds a violation, so the flags need no second look
+        "passed": not violations and not drifts,
+        "generator_identity": generator,
+    }

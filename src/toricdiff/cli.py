@@ -8,8 +8,9 @@ dual; "M" when they generate the exponent cone directly; default "N").
 This module chooses the output form and encodes the JSON.  ``main`` builds
 the exponent cone and hands it to the command, which returns its exit
 status, its JSON document and its text lines; ``main`` prints the one that
-``--format`` asks for.  The reports write their own text (``to_text`` of
-``PoincareReport``, ``CartierReport`` and ``CheckResult``).  ``cohomology``
+``--format`` asks for.  A check's report is its JSON document, and the
+check's module writes its text (``complexes.poincare_text``,
+``cartier.report_text`` and ``cartier.generator_text``).  ``cohomology``
 alone streams: it writes its rows in text, CSV or JSON as the box is
 scanned and returns neither.
 
@@ -23,7 +24,6 @@ when stdout is closed early, as ``| head`` does.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -216,16 +216,16 @@ def _json_form(h):
 
 
 def _cmd_poincare(cone, args):
-    from .complexes import poincare_check
+    from .complexes import poincare_check, poincare_text
 
     if args.p:
         raise ConeSpecError("the exactness check runs in characteristic zero; drop --p")
     report = poincare_check(cone, args.bound)
-    return (0 if report.passed else 1), report.payload(), [report.to_text()]
+    return (0 if report["passed"] else 1), report, [poincare_text(report)]
 
 
 def _cmd_cartier(cone, args):
-    from .cartier import verify_isomorphism
+    from .cartier import generator_text, report_text, verify_isomorphism
 
     level = None
     if args.a != "all":
@@ -236,11 +236,10 @@ def _cmd_cartier(cone, args):
         if level < 0 or level > cone.ambient_rank:
             raise ConeSpecError(f"wedge degree {level} out of range")
     report = verify_isomorphism(cone, args.bound, args.p)
-    view = report
     if level is not None:
-        view = dataclasses.replace(report, levels=report.levels[level : level + 1])
-    lines = (r.to_text() for r in (view, report.generator))
-    return (0 if report.passed else 1), view.payload(), lines
+        # a failing level also adds a violation, so "passed" holds for the slice
+        report["levels"] = report["levels"][level : level + 1]
+    return (0 if report["passed"] else 1), report, [report_text(report), generator_text(report)]
 
 
 def _cmd_oracle(cone, args):

@@ -29,8 +29,8 @@ the box: a check reads them in one pass, and the ``cohomology`` command
 writes each row as it arrives (:mod:`toricdiff.cli`, with the CSV row
 format of :class:`_CsvRows`).  :class:`CohomologyTable` is the library
 form, and the reference the tests hold the streamed bytes against: it
-serializes to JSON and to CSV with one row per degree.  Reports give their
-JSON-ready data through ``payload()``.  Output is byte-stable: degrees are
+serializes to JSON and to CSV with one row per degree.  :func:`poincare_check`
+returns its JSON document as a dict.  Output is byte-stable: degrees are
 sorted, hashes are over the CSV bytes, of a table or of the stream alike.
 """
 
@@ -61,8 +61,8 @@ __all__ = [
     "CohomologyTable",
     "cohomology_table",
     "NoVertexError",
-    "PoincareReport",
     "poincare_check",
+    "poincare_text",
     "oracle_full_complex",
 ]
 
@@ -221,40 +221,16 @@ def _degree_cohomology(n, dim, w):
 # characteristic zero: contractibility degree by degree
 
 
-@dataclass
-class PoincareReport:
-    """Outcome of the characteristic-zero exactness check over a box."""
-
-    rays: tuple
-    bound: int
-    checked: int
-    passed: bool
-    violations: tuple
-    table_hash: str
-
-    def payload(self):
-        """The report as JSON-ready data."""
-        return {
-            "rays": [list(r) for r in self.rays],
-            "bound": self.bound,
-            "checked": self.checked,
-            "passed": self.passed,
-            "violations": [
-                {"degree": list(m), "h": list(h), "expected": list(want)}
-                for m, h, want in self.violations
-            ],
-            "table_hash": self.table_hash,
-        }
-
-    def to_text(self):
-        head = (
-            f"poincare check over QQ: bound={self.bound}, "
-            f"degrees checked={self.checked}: {'PASS' if self.passed else 'FAIL'}"
-        )
-        lines = [head]
-        for m, h, want in self.violations:
-            lines.append(f"  degree {m}: h={h}, expected {want}")
-        return "\n".join(lines)
+def poincare_text(report):
+    """The text of a :func:`poincare_check` report: the verdict, then each violation."""
+    head = (
+        f"poincare check over QQ: bound={report['bound']}, "
+        f"degrees checked={report['checked']}: {'PASS' if report['passed'] else 'FAIL'}"
+    )
+    lines = [head]
+    for v in report["violations"]:
+        lines.append(f"  degree {v['degree']}: h={v['h']}, expected {v['expected']}")
+    return "\n".join(lines)
 
 
 def poincare_check(cone, bound):
@@ -262,7 +238,9 @@ def poincare_check(cone, bound):
 
     Only stated for an exponent cone with a vertex (equivalently, the
     coordinate ring has no invertible variables); without one the check is
-    refused rather than reported as a failure.
+    refused rather than reported as a failure.  Returns the JSON document
+    of the check: ``rays``, ``bound``, ``checked`` (degrees), ``passed``,
+    ``violations`` (``{degree, h, expected}`` each) and ``table_hash``.
     """
     bound = _integer(bound, "the bound must be an integer")
     if not cone.has_vertex():
@@ -277,15 +255,15 @@ def poincare_check(cone, bound):
     for m, h in rows:
         want = nothing if any(m) else point
         if h != want:
-            violations.append((m, h, want))
-    return PoincareReport(
-        cone.rays,
-        bound,
-        rows.count,
-        not violations,
-        tuple(violations),
-        rows.hexdigest(),
-    )
+            violations.append({"degree": m, "h": h, "expected": want})
+    return {
+        "rays": cone.rays,
+        "bound": bound,
+        "checked": rows.count,
+        "passed": not violations,
+        "violations": tuple(violations),
+        "table_hash": rows.hexdigest(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,8 @@ def _sanitize(rays, ambient_rank):
             raise ValueError("ambient_rank is required for a cone with no generators")
         ambient_rank = len(vecs[0])
     ambient_rank = _integer(ambient_rank, "the ambient rank must be an integer")
+    if ambient_rank < 1:
+        raise ValueError(f"the ambient rank must be at least 1, got {ambient_rank}")
     if any(len(v) != ambient_rank for v in vecs):
         raise ValueError("ray length does not match the ambient rank")
     out = sorted({_primitive(v) for v in vecs if any(v)})

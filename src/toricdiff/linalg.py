@@ -15,7 +15,9 @@ A field is a value with ``characteristic``, ``zero``, ``one``, ``of`` and
 ``inv``: ``QQ``, or ``GF(p)``, where ``GF`` is the prime-field class
 itself.  Fields compare and hash by value.  Arithmetic on field elements
 is written with Python operators, and each result is reduced once by
-``field.of``, which takes ints, ``Fraction`` entries and other integers.
+``field.of``.  Both fields read any other real value at its exact rational
+value (:func:`_exact`): a float is not truncated, and a numpy int becomes a
+Python int, whose arithmetic cannot wrap around.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from numbers import Rational
 
 __all__ = [
     "imat",
@@ -100,14 +103,26 @@ def _transpose(M, width):
     return tuple(zip(*M)) if M else ((),) * width
 
 
+def _exact(x):
+    """x at its exact value: an int or a ``Fraction`` as it is, else a ``Fraction``
+    with Python-int parts (``Fraction(numpy.int64(n))`` would keep a numpy numerator,
+    and ``Fraction`` refuses a ``numpy.float32``)."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    ratio = getattr(x, "as_integer_ratio", None)
+    return Fraction(*map(int, ratio())) if ratio else Fraction(x)
+
+
 def _primitive(row):
-    """The primitive integer vector on the line of a vector of ints or Fractions.
+    """The primitive integer vector on the line of a vector of exact reals.
 
     The scale factor is positive, so signs are kept; the zero vector stays
     zero.  An all-int row skips the ``Fraction`` round trip.
     """
     if not all(isinstance(x, int) for x in row):
-        fracs = [Fraction(x) for x in row]
+        fracs = [_exact(x) for x in row]
         mult = lcm(*(f.denominator for f in fracs))
         row = [f.numerator * (mult // f.denominator) for f in fracs]
     g = gcd(*row) or 1
@@ -259,7 +274,7 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+        return x if type(x) is Fraction else Fraction(_exact(x))
 
     def inv(self, a):
         if a == 0:
@@ -296,11 +311,10 @@ class GF:
     def of(self, x):
         if type(x) is int:
             return x % self.p
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by the modulus")
-            return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
-        return int(x) % self.p
+        x = _exact(x)
+        if x.denominator % self.p == 0:
+            raise ZeroDivisionError("denominator divisible by the modulus")
+        return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
 
     def inv(self, a):
         a %= self.p

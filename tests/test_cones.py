@@ -63,6 +63,11 @@ class TestCanonicalization:
         c = Cone([(1, 0), (-1, 0), (0, 1)])
         assert (1, 0) in c.rays and (-1, 0) in c.rays and (0, 1) in c.rays
 
+    @pytest.mark.parametrize("rank", [-1, 0])
+    def test_rejects_an_ambient_rank_below_one(self, rank):
+        with pytest.raises(ValueError, match="ambient rank must be at least 1"):
+            Cone([], ambient_rank=rank)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             Cone([(1, 0), (1,)])

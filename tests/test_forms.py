@@ -115,9 +115,9 @@ def test_verification_never_takes_the_reference_path(monkeypatch):
         monkeypatch.setattr(module, name, not_reached)
     cone = Cone([(0, 1), (3, -1), (1, 1)]).dual
     assert degree_subspace(cone, (0, 0), 3).dim == 1
-    assert complexes.poincare_check(cone, 2).passed
+    assert complexes.poincare_check(cone, 2)["passed"]
     report = cartier.verify_isomorphism(cone, 1, 3)
-    assert report.passed and report.generator.passed
+    assert report["passed"] and report["generator_identity"]["passed"]
     sums = tuple(map(sum, zip(*complexes.cohomology_table(cone, 1, 2).entries.values())))
     assert complexes.oracle_full_complex(cone, 1, 2) == sums
 

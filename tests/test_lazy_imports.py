@@ -137,6 +137,10 @@ class TestLazyExports:
             "PhiMap",
             "FormTerm",
             "FormExpression",
+            "CheckResult",
+            "LevelSummary",
+            "CartierReport",
+            "PoincareReport",
         ):
             with pytest.raises(AttributeError, match=name):
                 getattr(toricdiff, name)

@@ -145,6 +145,9 @@ class TestReduceModP:
             assert lattice_subspace(L, GF(p)).dim == L.rank
 
 
+WIDE = numpy.array([[2**32 + 1, 2**33 + 1], [1, 2**32 + 1]], dtype=numpy.int64)
+
+
 class TestFields:
     def test_rationals(self):
         assert QQ.of(2) == Fraction(2)
@@ -170,11 +173,26 @@ class TestFields:
 
     @pytest.mark.parametrize(
         "x, residue",
-        [(12, 5), (-1, 6), (True, 1), (numpy.int64(-8), 6), (Fraction(1, 2), 4), (Fraction(-3, 4), 1)],
-        ids=["int", "negative", "bool", "int64", "fraction", "negative-fraction"],
+        [(12, 5), (-1, 6), (True, 1), (numpy.int64(-8), 6), (Fraction(1, 2), 4), (Fraction(-3, 4), 1), (0.5, 4)],
+        ids=["int", "negative", "bool", "int64", "fraction", "negative-fraction", "float"],
     )
     def test_prime_field_reads_every_input_type(self, x, residue):
         assert type(GF(7).of(x)) is int and GF(7).of(x) == residue
+
+    # a float is not truncated (0.5 is the inverse of 2 in GF(7)), and numpy
+    # ints become Python ints: with int64 entries det(WIDE) = a^2 - b wraps
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            (lambda: rank(GF(7), [[0.5]]), 1),
+            (lambda: rank(QQ, WIDE), 2),
+            (lambda: subspace(QQ, WIDE).dim, 2),
+            (lambda: QQ.of(numpy.int64(2**62)) * 4, 2**64),
+        ],
+        ids=["float-rank-mod-7", "int64-rank", "int64-subspace", "int64-product"],
+    )
+    def test_fields_read_values_exactly(self, call, value):
+        assert call() == value
 
     def test_prime_field_refuses_a_denominator_divisible_by_p(self):
         with pytest.raises(ZeroDivisionError):

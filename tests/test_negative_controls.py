@@ -8,16 +8,18 @@ through: the coordinates w of a degree m in V_m (which fix its
 differential), the wedge matrices built from them, the shift matrices of
 :func:`toricdiff.cartier.phi`, and the ranks of the whole-box oracle.
 Each mutation records what it changed, so a row whose mutation never
-fires fails too.
+fires fails too.  The same mutations make the failing reports of the last
+test, which holds the JSON output of a check to the dict the check returns.
 """
 
+import json
 import re
 
 import pytest
 
 from toricdiff import cartier, complexes, forms
 from toricdiff.cli import main
-from tests.conftest import CONE_DIR
+from tests.conftest import CONE_DIR, load_exponent_cone
 
 
 def w_at(module, degree, change):
@@ -205,3 +207,36 @@ def test_mutation_turns_the_verdict_to_fail(argv, mutate, verdict, monkeypatch, 
     assert fired, "the mutation never fired"
     assert verdict_of(out, verdict) == "FAIL"
     assert code == 1
+
+
+POINCARE = ["poincare", "square-3d", "--bound", "2"]
+CARTIER = ["cartier", "a1-quadric", "--p", "2", "--bound", "1"]
+DOCUMENTS = [
+    pytest.param(POINCARE, lambda c: complexes.poincare_check(c, 2), None, id="poincare-passing"),
+    pytest.param(
+        POINCARE,
+        lambda c: complexes.poincare_check(c, 2),
+        w_at(complexes, (0, 1, 0), zeroed),
+        id="poincare-failing",
+    ),
+    pytest.param(CARTIER, lambda c: cartier.verify_isomorphism(c, 1, 2), None, id="cartier-passing"),
+    pytest.param(
+        CARTIER,
+        lambda c: cartier.verify_isomorphism(c, 1, 2),
+        sheared_shift_at((1, 1)),
+        id="cartier-failing",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, check, mutate", DOCUMENTS)
+def test_json_output_is_the_returned_report(argv, check, mutate, monkeypatch, capsys):
+    command, name, *flags = argv
+    fired = mutate(monkeypatch) if mutate else None
+    code = main([command, cone(name), *flags, "--format", "json"])
+    out = capsys.readouterr().out
+    report = check(load_exponent_cone(name))
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report["passed"] is (mutate is None)
+    assert code == (0 if mutate is None else 1)
+    assert fired is None or fired, "the mutation never fired"
