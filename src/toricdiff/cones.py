@@ -41,14 +41,15 @@ __all__ = [
 ]
 
 
-# Most points a box scan may visit, and most points in one slab of it.  The
-# scan streams the box a slab at a time and keeps none of it, so memory does
-# not bound the box; time does.  At 10^7 points a 3-dimensional check runs for
-# minutes.  The largest boxes in the tests and CI are the rank-6 orthant's
-# 13^6 (4,826,809 points), scanned in slabs of 13^4 = 28,561 points; the
-# benchmark's largest is 41^3.
+# Most points a box scan may visit, and most entries in one slab of it, where
+# a point and its k facet values count n + k.  The scan streams the box a slab
+# at a time and keeps none of it, so memory does not bound the box; time does.
+# At 10^7 points a 3-dimensional check runs for minutes.  The largest boxes in
+# the tests and CI are the rank-6 orthant's 13^6 (4,826,809 points), scanned
+# in slabs of 13^3 = 2,197 points of 12 entries; the benchmark's largest is
+# 41^3.
 _MAX_BOX_POINTS = 10**7
-_MAX_SLAB_POINTS = 2**15
+_MAX_SLAB_ENTRIES = 2**15
 
 
 class NotPointedError(ValueError):
@@ -179,8 +180,9 @@ class Cone:
         ray, so for a full dimensional cone the set bits are the indices of
         :meth:`facets_containing`.  The box is streamed (see :meth:`_scan`)
         and nothing of it is kept, so a caller that consumes the points one
-        by one holds one slab of at most ``_MAX_SLAB_POINTS`` points at a
-        time, whatever the rank and the bound.  A box of more than
+        by one holds one slab of at most ``_MAX_SLAB_ENTRIES`` entries at a
+        time (a point and its k facet values count ``n + k``), whatever the
+        rank, the facet count and the bound.  A box of more than
         ``_MAX_BOX_POINTS`` points is refused here, before the scan starts.
         """
         bound = _integer(bound, "the bound must be an integer")
@@ -214,39 +216,59 @@ class Cone:
     def _scan(self, bound):
         """Generator behind :meth:`lattice_points`, the only numpy code.
 
-        A slab fixes the n-d leading coordinates and runs over the last d,
-        for the largest ``d <= n-1`` with ``(2*bound+1)^d <= _MAX_SLAB_POINTS``
-        (rank 1 gets one-point slabs).  Its tail is built once from
-        ``np.indices`` in lexicographic order, the prefixes step in
-        lexicographic order, and each slab is classified by one product
-        ``points @ normals.T``.  A slab's products are freed before its
-        points are yielded.  Arithmetic is exact: ``int64`` while
-        ``max_u sum|u_i| * bound`` stays below ``2**62``, Python integers
-        (``dtype=object``) otherwise.  The bit weights are ``int64`` below 63
-        facets and Python integers from there on.
+        A point of the box is classified by its k facet values ``<u, v>``, so
+        a slab is sized by entries, ``n + k`` per point.  A slab fixes a
+        prefix of the leading coordinates and spans the last d, for the
+        largest ``d <= n-1`` with ``(2*bound+1)^d * (n + k) <=
+        _MAX_SLAB_ENTRIES``.  The tail's points and facet values are built
+        once per scan, from ``np.indices`` in lexicographic order.  The
+        prefixes step one line at a time: the leading coordinates stay fixed
+        and the last one runs over its range, computed as one array of at
+        most ``_MAX_SLAB_ENTRIES // (n + k)`` values.  A prefix with
+        ``<u_head, prefix> + bound * |u_tail|_1 < 0`` for some facet u is
+        skipped, since no tail brings it back into the cone.  Each other
+        prefix adds its own values to the tail's and is classified as one
+        slab; with no tail (``d = 0``, as in rank 1) a prefix is a point, and
+        the kept points of a line array form one slab.  A slab's values are
+        freed before its points are yielded.  Arithmetic is exact: ``int64``
+        while ``max_u sum|u_i| * bound`` stays below ``2**62``, Python
+        integers (``dtype=object``) otherwise.  The bit weights are ``int64``
+        below 63 facets and Python integers from there on.
         """
         n = self.ambient_rank
         normals = self.dual.rays
+        k = len(normals)
         width = max((sum(map(abs, u)) for u in normals), default=0)
         dtype = np.int64 if max(width, 1) * max(bound, 1) < 2**62 else object
-        normals_t = np.array(normals, dtype=dtype).reshape(-1, n).T
-        k = len(normals)
+        u = np.array(normals, dtype=dtype).reshape(k, n)
         weights = np.array([1 << i for i in range(k)], dtype=np.int64 if k < 63 else object)
         side = 2 * bound + 1
         d = n - 1
-        while d and side ** d > _MAX_SLAB_POINTS:
+        while d and side ** d * (n + k) > _MAX_SLAB_ENTRIES:
             d -= 1
         rest = side ** d
-        slab = np.empty((rest, n), dtype=dtype)
-        slab[:, n - d :] = np.indices((side,) * d).reshape(d, rest).T - bound
-        for prefix in itertools.product(range(-bound, bound + 1), repeat=n - d):
-            slab[:, : n - d] = prefix
-            vals = slab @ normals_t
-            inside = (vals >= 0).all(axis=1)
-            columns = slab[inside].T.tolist()
-            masks = ((vals[inside] == 0).astype(weights.dtype) @ weights).tolist()
-            del vals, inside
-            yield from zip(zip(*columns), masks)
+        lead = n - d - 1
+        tail = (np.indices((side,) * d).reshape(d, rest) - bound).astype(dtype)
+        tail_vals = (u[:, lead + 1 :] @ tail).T
+        reach = bound * abs(u[:, lead + 1 :]).sum(axis=1)
+        chunk = max(1, _MAX_SLAB_ENTRIES // (n + k))
+        per_slab = 1 if d else chunk
+        for head in itertools.product(range(-bound, bound + 1), repeat=lead):
+            base = u[:, :lead] @ np.array(head, dtype=dtype)
+            for start in range(-bound, bound + 1, chunk):
+                xs = np.arange(start, min(start + chunk, bound + 1), dtype=dtype)
+                heads = base + xs[:, None] * u[:, lead]
+                kept = (heads + reach >= 0).all(axis=1).nonzero()[0]
+                for lo in range(0, len(kept), per_slab):
+                    slab = kept[lo : lo + per_slab]
+                    vals = heads[slab, None, :] + tail_vals
+                    inside = (vals >= 0).all(axis=2)
+                    which, at = inside.nonzero()
+                    masks = ((vals[inside] == 0).astype(weights.dtype) @ weights).tolist()
+                    del vals, inside
+                    columns = [*map(itertools.repeat, head), xs[slab[which]].tolist()]
+                    columns += tail[:, at].tolist()
+                    yield from zip(zip(*columns), masks)
 
     def __eq__(self, other):
         return (

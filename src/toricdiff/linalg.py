@@ -68,12 +68,21 @@ def imat(rows, ncols=None):
         if ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
         return M
-    width = len(M[0])
-    if any(len(r) != width for r in M):
-        raise ValueError("rows have unequal lengths")
+    width = _width(M)
     if ncols is not None and width != ncols:
         raise ValueError(f"expected {ncols} columns, got {width}")
     return M
+
+
+def _width(rows, empty=None):
+    """The common length of a list of rows, ``empty`` when it has none; ragged
+    rows raise ValueError."""
+    if not rows:
+        return empty
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows have unequal lengths")
+    return width
 
 
 def _integer(x, rule):
@@ -106,13 +115,16 @@ def _transpose(M, width):
 def _exact(x):
     """x at its exact value: an int or a ``Fraction`` as it is, else a ``Fraction``
     with Python-int parts (``Fraction(numpy.int64(n))`` would keep a numpy numerator,
-    and ``Fraction`` refuses a ``numpy.float32``)."""
+    and ``Fraction`` refuses a ``numpy.float32``).  A value that is not a real
+    number, such as the string ``"1/2"``, raises ValueError."""
     if type(x) is int or type(x) is Fraction:
         return x
     if isinstance(x, Rational):
         return Fraction(int(x.numerator), int(x.denominator))
     ratio = getattr(x, "as_integer_ratio", None)
-    return Fraction(*map(int, ratio())) if ratio else Fraction(x)
+    if ratio is None:
+        raise ValueError(f"field elements must be real numbers, got {x!r}")
+    return Fraction(*map(int, ratio()))
 
 
 def _primitive(row):
@@ -423,11 +435,9 @@ def subspace(field, rows, ambient_dim=None):
         if ambient_dim is None:
             raise ValueError("ambient_dim is required for an empty generating set")
         return Subspace(field, ambient_dim, ())
-    width = len(rows[0])
+    width = _width(rows)
     if ambient_dim is not None and width != ambient_dim:
         raise ValueError(f"expected vectors of length {ambient_dim}, got {width}")
-    if any(len(r) != width for r in rows):
-        raise ValueError("rows have unequal lengths")
     reduced, _ = _rref(field, _field_rows(field, rows))
     return Subspace(field, width, tuple(tuple(r) for r in reduced))
 
@@ -481,9 +491,11 @@ def _rank_bareiss(rows):
 def rank(field, M):
     """Rank of a matrix over ``field``: fraction-free over QQ, the row count
     of the reduced row echelon form over GF(p)."""
+    rows = list(M)
+    _width(rows)
     if field.characteristic:
-        return len(_rref(field, _field_rows(field, M))[0])
-    return _rank_bareiss([_primitive(r) for r in M])
+        return len(_rref(field, _field_rows(field, rows))[0])
+    return _rank_bareiss([_primitive(r) for r in rows])
 
 
 def kernel(field, M, ncols=None):
@@ -493,7 +505,7 @@ def kernel(field, M, ncols=None):
     ((Fraction(1, 1), Fraction(-1, 1)),)
     """
     rows = [list(r) for r in M]
-    width = len(rows[0]) if rows else ncols
+    width = _width(rows, ncols)
     if width is None:
         raise ValueError("ncols is required for a matrix with no rows")
     if not rows:
@@ -565,7 +577,7 @@ def mat_mul(field, A, B):
     by row i of ``A``; zero weights are skipped, which is most of them for
     wedge matrices.
     """
-    width = len(B[0]) if B else 0
+    width = _width(B, 0)
     if any(len(row) != len(B) for row in A):
         raise ValueError(f"shape mismatch: {len(B)} rows in B, not the width of A")
     out = []

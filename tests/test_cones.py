@@ -158,22 +158,41 @@ class TestFacets:
             d.facets_containing((0, 1))
 
 
+def traced_scan_peak(cone, bound):
+    """Peak of the memory traced while ``cone.lattice_points(bound)`` is consumed."""
+    tracemalloc.start()
+    try:
+        for _ in cone.lattice_points(bound):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scan_memory_does_not_grow_with_the_box_in_rank_6():
     # one slab of the bound-6 box would hold 13^5 points if it spanned every
-    # coordinate but the first; slabs of at most _MAX_SLAB_POINTS points keep
-    # the traced peak of the scan near that of the bound-3 box
+    # coordinate but the first; slabs of at most _MAX_SLAB_ENTRIES entries
+    # keep the traced peak of the scan near that of the bound-3 box
     orthant = Cone([tuple(int(i == j) for j in range(6)) for i in range(6)]).dual
+    assert traced_scan_peak(orthant, 6) <= 2 * traced_scan_peak(orthant, 3)
 
-    def traced_peak(bound):
-        tracemalloc.start()
-        try:
-            for _ in orthant.lattice_points(bound):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert traced_peak(6) <= 2 * traced_peak(3)
+def test_scan_memory_does_not_grow_with_the_box_for_many_facets():
+    # each point carries 41 facet values: a slab of all but the first
+    # coordinate would hold 81^2 points of 44 entries at bound 40, and a
+    # slab sized by entries holds 81 of them
+    cone = Cone([(i, i * i, 1) for i in range(-20, 21)])
+    assert len(cone.dual.rays) == 41
+    assert traced_scan_peak(cone, 40) <= 2 * traced_scan_peak(cone, 10)
+
+
+def test_scan_memory_does_not_grow_with_the_box_in_rank_1():
+    # in rank 1 the prefix line is the whole box, so it is computed in arrays
+    # of at most _MAX_SLAB_ENTRIES // (n + k) values: 2^15 on the line, which
+    # has no facets and keeps every point.  The bound-2*10^4 box (40,001
+    # points) already fills one array; a bound-10^3 box (2,001) would not
+    line = Cone([(1,), (-1,)])
+    assert traced_scan_peak(line, 10**5) <= 2 * traced_scan_peak(line, 2 * 10**4)
 
 
 class TestLatticePoints:
@@ -232,7 +251,10 @@ class TestScanMatchesDefinition:
     @example(Cone([(1, 0), (0, 1)]), 0)
     @example(HUGE, 3)
     @example(Cone([(i, i * i, 1) for i in range(-32, 32)]), 1)  # 64 facets: masks need bit 63
-    @example(Cone([(1,)]), 2)  # rank 1: slabs of one point
+    @example(Cone([(i, i * i, 1) for i in range(-32, 32)]), 11)  # slabs of 23 points, not 529
+    @example(Cone([tuple(int(i == j) for j in range(4)) for i in range(4)]), 2)  # x_0 < 0 is pruned
+    @example(Cone([(1,)]), 2)  # rank 1: the points of a line array form one slab
+    @example(Cone([(1,)]), 10**4)  # a rank-1 line of 20,001 points spans several arrays
     def test_points_and_masks(self, cone, bound):
         normals = cone.dual.rays
         box = itertools.product(range(-bound, bound + 1), repeat=cone.ambient_rank)
@@ -247,14 +269,17 @@ class TestScanMatchesDefinition:
                 assert [f.index for f in cone.facets_containing(v)] == on
 
     def test_prefix_slabs_keep_the_order(self, monkeypatch):
-        # slabs of at most 5 points step two or three leading coordinates
+        # slabs of at most 40 entries hold 5 points of 6 or 8 entries, so they
+        # step two or three leading coordinates; at 13 entries a slab is one
+        # point, and the lines are computed one or two values at a time
         cones = (
             Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)]).dual,
             Cone([tuple(int(i == j) for j in range(4)) for i in range(3)] + [(0, 0, 0, -1)]),
         )
         want = [tuple(cone.lattice_points(2)) for cone in cones]
-        monkeypatch.setattr(cones_module, "_MAX_SLAB_POINTS", 5)
-        assert [tuple(cone.lattice_points(2)) for cone in cones] == want
+        for entries in (40, 13):
+            monkeypatch.setattr(cones_module, "_MAX_SLAB_ENTRIES", entries)
+            assert [tuple(cone.lattice_points(2)) for cone in cones] == want
 
     def test_huge_normals_take_the_exact_path(self):
         width = max(sum(map(abs, u)) for u in HUGE.dual.rays)

@@ -194,6 +194,22 @@ class TestFields:
     def test_fields_read_values_exactly(self, call, value):
         assert call() == value
 
+    # a field element is a real number, as an integer input is an integer: a
+    # string is refused, not parsed, as hnf([["2"]]) refuses it
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: QQ.of("1/2"),
+            lambda: GF(7).of("3"),
+            lambda: rank(QQ, [["1/2", 0]]),
+            lambda: subspace(GF(5), [["2", "3"]]),
+        ],
+        ids=["QQ.of", "GF.of", "rank-QQ", "subspace-mod-5"],
+    )
+    def test_fields_refuse_strings(self, call):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            call()
+
     def test_prime_field_refuses_a_denominator_divisible_by_p(self):
         with pytest.raises(ZeroDivisionError):
             GF(7).of(Fraction(1, 14))
@@ -247,6 +263,24 @@ class TestFields:
         assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and is_prime(2**31 - 19)
         with pytest.raises(ValueError):
             is_prime(1287836182261 * 2575672364521)  # a strong pseudoprime to all 13 bases
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K: rank(K, [[1], [3, 4]]),
+        lambda K: rank(K, [[1, 2], [3]]),
+        lambda K: kernel(K, [[1, 2], [3]]),
+        lambda K: mat_mul(K, [[1, 1]], [[1, 2], [3]]),
+        lambda K: subspace(K, [[1, 2], [3]]),
+    ],
+    ids=["rank-short-first", "rank-short-last", "kernel", "mat_mul", "subspace"],
+)
+def test_ragged_rows_are_refused(field, call):
+    # not truncated by zip, and no IndexError from deep in the elimination
+    with pytest.raises(ValueError, match="rows have unequal lengths"):
+        call(field)
 
 
 class TestRank:
