@@ -15,25 +15,21 @@ verified.
 :func:`verify_isomorphism` is the whole check, and it scans each box once:
 the p-divisible degrees md of the ``p*bound`` box are the multiples p*m of
 the cone points m of the ``bound`` box, in the same order (``<u, m> =
-<u, md>/p``), so the two scans run in step.  The shift matrices are built
-once per degree type, the facet mask of the source degree m read off its
-scan.  For p > 0, ``<u, pm> = p<u, m>``, so pm lies on exactly the facets
-through m, and the mask fixes V_m and V_pm, which are all the shift
-depends on.  The shift respects wedge products, so :func:`phi` takes V_m,
-V_pm and the change of basis between them once per type and builds every
-level as a wedge power of that one map.  The other flags are read per
-source degree off the cohomology row at pm, violations are reported per
-source degree, and ``m in V_m`` is asserted for each one.  The target box
-streams by: only its p-divisible degrees and the cohomology there stay.
+<u, md>/p``), so the two scans run in step.  Each stream locates its
+degrees through :func:`toricdiff.forms._located`, which looks V_m and
+``C(dim V_m, a)`` up once per facet mask.  For p > 0, ``<u, pm> = p<u, m>``,
+so pm lies on exactly the facets through m, and the mask fixes V_m and
+V_pm.  :func:`phi` runs once per mask of m and builds every level as a
+wedge power of one change of basis.  The other flags are read per source
+degree off the cohomology row at pm, and ``m in V_m`` is asserted for each
+one.  The target box streams by: only its p-divisible degrees and the
+cohomology there stay.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import comb
-
 from .complexes import _box_cohomology, _CsvRows
-from .forms import _located_degree, degree_subspace, wedge_matrix, wedge_subsets
+from .forms import _located, degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import GF, _integer, identity_matrix, mat_mul, rank
 
 __all__ = [
@@ -193,28 +189,28 @@ def verify_isomorphism(cone, bound, p):
         }
         for a in range(n + 1)
     )
-    types = {}  # per facet mask: whether each level of the shift is the identity, and C(dim V_m, a)
+    types = {}  # per facet mask: whether each level of the shift is the identity
     drifts = []
-    sources = zip_longest(targets, cone.lattice_points(bound), fillvalue=((), None))
-    for (pm, hs), (m, mask) in sources:
+    sources = _located(cone, cone.lattice_points(bound), p)
+    shifted = _located(cone, ((pm, cone._mask_of(pm)) for pm, _ in targets), p)
+    for (pm, hs), (_, _, sub_pm, _, _), (m, mask, _, w, whole) in zip(targets, shifted, sources):
         if pm != tuple(p * x for x in m):
             raise AssertionError(f"internal error: source {m} does not match target {pm}")
-        sub, w = _located_degree(cone._normals_of(mask), m, p)
-        kind = types.get(mask)
-        if kind is None:
-            split = [M == identity_matrix(len(M)) for M in phi(cone, m, p)]
-            kind = types[mask] = split, tuple(comb(sub.dim, a) for a in range(n + 1))
-        split, whole = kind
+        split = types.get(mask)
+        if split is None:  # a shift without exactly n+1 levels splits on none
+            shift = phi(cone, m, p)
+            ok = len(shift) == n + 1
+            split = types[mask] = [ok and shift[a] == identity_matrix(c) for a, c in enumerate(whole)]
         zero = hs == whole  # the whole wedge algebra survives: the differential at pm is zero
-        for a, (lv, src_dim, split_a) in enumerate(zip(levels, whole, split)):
-            induced = src_dim if zero else 0
+        for a, src_dim in enumerate(whole):
+            lv, induced = levels[a], src_dim if zero else 0
             lv["sources_checked"] += 1
             lv["source_dim_total"] += src_dim
             lv["cohomology_dim_total"] += hs[a]
             if not (zero or a == n):
                 lv["chain_map_ok"] = False
                 violations.append(f"degree {m}, a={a}: shift image is not closed")
-            if not split_a:
+            if not split[a]:
                 lv["split_ok"] = False
                 violations.append(
                     f"degree {m}, a={a}: projection composed with the shift is not the identity"
@@ -225,8 +221,11 @@ def verify_isomorphism(cone, bound, p):
                     f"degree {m}, a={a}: induced rank {induced} of {src_dim}, "
                     f"cohomology dimension {hs[a]}"
                 )
-        if any(m) and w != degree_subspace(cone, pm, p).coordinates_of(m):
+        if any(m) and w != sub_pm.coordinates_of(m):
             drifts.append(f"degree {m}: wedge coordinates drift under the shift")
+    # zip stops at the shorter stream: each target must have had a source, and none is left
+    if levels[0]["sources_checked"] != len(targets) or next(sources, None):
+        raise AssertionError("internal error: the source box does not match the targets")
     # every source degree but the origin, which is always a cone point
     generator = {"checked": len(targets) - 1, "violations": tuple(drifts), "passed": not drifts}
     return {

@@ -21,8 +21,8 @@ Three paths compute cohomology, each on purpose:
 - :func:`oracle_full_complex` does not split by degree and ranks whole-box
   sparse matrices, an independent check of the grading argument.  Their
   blocks are the same ``wedge_matrix`` blocks whose identities the box path
-  relies on, so the oracle checks those matrices too.  It keeps
-  ``(dim V_m, w)`` per degree and one level's pivots, never a whole matrix.
+  relies on, so the oracle checks those matrices too.  It keeps w and
+  ``C(dim V_m, a)`` per degree and one level's pivots, never a whole matrix.
 
 Degrees stream by in lexicographic order and no command holds a table of
 the box: a check reads them in one pass, and the ``cohomology`` command
@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 # The interpreter's built-in sha256 gives the same digest as OpenSSL's, and
 # importing it does not load libcrypto, about 3.5 MB of peak RSS.
@@ -51,7 +50,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .forms import _located_degree, _prove_koszul, wedge_matrix
+from .forms import _located, _prove_koszul, wedge_matrix
 from .linalg import _integer, field_of_characteristic, mat_mul, rank, sparse_rank
 
 __all__ = [
@@ -97,13 +96,13 @@ def degree_complex(cone, m, char):
     m = cone._point(m)
     field = field_of_characteristic(char)
     char = field.characteristic
-    sub, w = _located_degree(cone._normals_of(cone._mask_of(m)), m, char)
+    _, _, _, w, whole = next(_located(cone, [(m, cone._mask_of(m))], char))
     n = len(m)
     diffs = [wedge_matrix(field, w, a) for a in range(n)]
     for a in range(n - 1):
         if any(map(any, mat_mul(field, diffs[a + 1], diffs[a]))):
             raise AssertionError("differential does not square to zero")
-    return DegreeComplex(m, char, tuple(comb(sub.dim, a) for a in range(n + 1)), tuple(diffs))
+    return DegreeComplex(m, char, whole, tuple(diffs))
 
 
 def cohomology(dc):
@@ -199,22 +198,20 @@ def cohomology_table(cone, bound, char):
 
 def _box_cohomology(cone, bound, char):
     """``(m, h)`` per degree of the box in lexicographic order, h by :func:`_degree_cohomology`."""
-    n = cone.ambient_rank
-    for m, mask in cone.lattice_points(bound):
-        sub, w = _located_degree(cone._normals_of(mask), m, char)
-        yield m, _degree_cohomology(n, sub.dim, w)
+    for m, _, _, w, whole in _located(cone, cone.lattice_points(bound), char):
+        yield m, _degree_cohomology(w, whole)
 
 
-def _degree_cohomology(n, dim, w):
-    """h of a degree from dim V_m and w, the coordinates of m in V_m (see the module docstring).
+def _degree_cohomology(w, whole):
+    """h of a degree from w, the coordinates of m in V_m, and ``whole[a] = C(dim V_m, a)``.
 
     Zero when w != 0, whose exactness :func:`_prove_koszul` proves, and
-    ``C(dim V_m, a)`` when w = 0 and every differential is zero.
+    ``whole`` when w = 0 and every differential is zero (see the module docstring).
     """
     if any(w):
         _prove_koszul(len(w))
-        return (0,) * (n + 1)
-    return tuple(comb(dim, a) for a in range(n + 1))
+        return (0,) * len(whole)
+    return whole
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,7 @@ def oracle_full_complex(cone, bound, char):
 
     Each differential of the truncated complex is a single sparse matrix
     over all degrees at once, ranked by online sparse elimination.  The box
-    is scanned once into ``(dim V_m, w)`` per degree; each level's columns
+    is scanned once into w and ``C(dim V_m, a)`` per degree; each level's columns
     are then read off each degree's ``wedge_matrix`` block in turn and
     streamed into :func:`sparse_rank`, so the matrix data held is one
     degree's block and one level's pivots.  Returns the total dimension
@@ -295,15 +292,13 @@ def _oracle(cone, bound, char):
     """
     field = field_of_characteristic(char)
     n = cone.ambient_rank
-    data = []
-    for m, mask in cone.lattice_points(bound):
-        sub, w = _located_degree(cone._normals_of(mask), m, field.characteristic)
-        data.append((sub.dim, w))
-    totals = [sum(comb(d, a) for d, _ in data) for a in range(n + 1)]
+    located = _located(cone, cone.lattice_points(bound), field.characteristic)
+    data = [(w, whole) for _, _, _, w, whole in located]
+    totals = [sum(whole[a] for _, whole in data) for a in range(n + 1)]
     ranks = [sparse_rank(field, _oracle_columns(field, data, a)) for a in range(n)]
     sums = (0,) * (n + 1)
-    for d, w in data:
-        sums = tuple(map(sum, zip(sums, _degree_cohomology(n, d, w))))
+    for w, whole in data:
+        sums = tuple(map(sum, zip(sums, _degree_cohomology(w, whole))))
     return _homology(totals, ranks), sums
 
 
@@ -315,11 +310,11 @@ def _oracle_columns(field, data, a):
     past those of every degree before it, C(dim V_m, a+1) rows each.
     """
     base = 0
-    for d, w in data:
+    for w, whole in data:
         if any(w):
             D = wedge_matrix(field, w, a)
             for column in zip(*D):
                 col = {base + i: c for i, c in enumerate(column) if c}
                 if col:
                     yield col
-        base += comb(d, a + 1)
+        base += whole[a + 1]

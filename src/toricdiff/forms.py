@@ -8,12 +8,12 @@ k^n: the intersection of the spans of the codimension-one faces through m,
 reduced to the coefficient field: the kernel of the facet normals through
 m (see :func:`facet_subspace`).  An interior m gets the whole of k^n.
 
-Everything here takes the cone on the exponent side.  V_m is cached on the
-normals through m, so a box of degrees solves each distinct set once per
-characteristic.  The cache is bounded, so a long-lived process does not
-grow with every cone it sees.  The differential "wedge with m" is proven
-exact or zero once per dim V_m (:func:`_prove_koszul`), so a degree costs
-only the integer test that locates m in V_m.
+Everything here takes the cone on the exponent side.  V_m depends on m only
+through its facet mask: :func:`_located` looks each mask of a stream of
+degrees up once, in a bounded cache, so a long-lived process does not grow
+with every cone it sees.  The differential "wedge with m" is proven exact
+or zero once per dim V_m (:func:`_prove_koszul`), so a degree costs only
+the integer test that locates m in V_m.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from .linalg import _int_vector, field_of_characteristic, kernel, lattice_subspace
@@ -128,9 +128,9 @@ def _contract(I, i):
     return I[:t] + I[t + 1 :], (-1) ** t
 
 
-# Entries held by the V_m cache.  A box touches one entry per distinct face
-# set, so this is far above any table's working set; it only stops a long
-# process that visits many cones from growing without limit.
+# Entries held by the V_m cache, one per set of facet normals and field; a
+# stream of degrees looks each of its masks up once.  The bound only stops a
+# long process that visits many cones from growing without limit.
 _VM_CACHE_SIZE = 4096
 
 
@@ -156,40 +156,46 @@ def degree_subspace(cone, m, char):
     """
     m = cone._point(m)
     char = field_of_characteristic(char).characteristic
-    return _located_degree(cone._normals_of(cone._mask_of(m)), m, char)[0]
+    return next(_located(cone, [(m, cone._mask_of(m))], char))[2]
 
 
-def _located_degree(normals, m, char):
-    """V_m for the facet normals through m, with the coordinates w of m in its basis.
+def _located(cone, points, char):
+    """``(m, mask, V_m, w, whole)`` for each ``(m, mask)`` of ``points``, each mask looked up once.
 
-    In the reduced basis the coordinates of a vector of V_m are its entries
-    at the pivot columns, so w is read off m, and ``m in V_m`` is asserted by
-    one integer identity per other column (see :func:`_kernel_of_normals`).
-    Over GF(p), w is reduced mod p.
+    w holds the coordinates of m in V_m (mod p over GF(p)) and ``whole`` the
+    ``C(dim V_m, a)``.  w is read off m at the pivot columns of the reduced
+    basis, and ``m in V_m`` asserted by one integer identity per other column.
     """
-    sub, scale, free = _kernel_of_normals(normals, len(m), char)
-    w = tuple(m[i] % char if char else m[i] for i in sub.pivots)
-    for j, col in free:
-        gap = scale * m[j] - sum(map(mul, w, col))
-        if gap % char if char else gap:
-            raise AssertionError(f"degree {m} escaped its own subspace")
-    return sub, w
+    n, kernels = cone.ambient_rank, {}
+    for m, mask in points:
+        entry = kernels.get(mask)
+        if entry is None:
+            entry = kernels[mask] = _kernel_of_normals(cone._normals_of(mask), n, char)
+        sub, scale, free, whole = entry
+        w = tuple(m[i] % char if char else m[i] for i in sub.pivots)
+        for j, col in free:
+            gap = scale * m[j] - sum(map(mul, w, col))
+            if gap % char if char else gap:
+                raise AssertionError(f"degree {m} escaped its own subspace")
+        yield m, mask, sub, w, whole
 
 
 @lru_cache(maxsize=_VM_CACHE_SIZE)
 def _kernel_of_normals(normals, n, char):
-    """``(V_m, scale, ((j, col_j), ...))`` for the facet normals through m.
+    """``(V_m, scale, ((j, col_j), ...), whole)`` for the facet normals through m.
 
     ``col_j`` holds entry j of every basis row for each non-pivot column j,
     times ``scale``, the lcm of their denominators (1 over GF(p)).  A vector
     with coordinates w lies in V_m exactly when ``scale * m_j == sum_i w_i *
     col_j[i]`` for each such j, mod p over GF(p).  An interior degree has
-    none to check.  The key holds only ints, so no cone is kept alive.
+    none to check.  ``whole`` holds ``C(dim V_m, a)`` for a = 0..n.  The key
+    holds only ints, so no cone is kept alive.
     """
     sub = kernel(field_of_characteristic(char), normals, ncols=n)
     free = [j for j in range(n) if j not in sub.pivots]
     scale = lcm(*(row[j].denominator for row in sub.basis for j in free))
-    return sub, scale, tuple((j, tuple(int(row[j] * scale) for row in sub.basis)) for j in free)
+    columns = tuple((j, tuple(int(row[j] * scale) for row in sub.basis)) for j in free)
+    return sub, scale, columns, tuple(comb(sub.dim, a) for a in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -377,15 +377,15 @@ class TestNegativeControls:
         # w made nonzero at the interior targets pm: their complex is then
         # exact, so below the top level the shift image is not closed and
         # the shift induces nothing in cohomology
-        real = complexes._located_degree
+        real = complexes._located
 
-        def located(normals, m, char):
-            sub, w = real(normals, m, char)
-            if not normals and not any(x % self.P for x in m):
-                w = (1,) + w[1:]
-            return sub, w
+        def located(cone, points, char):
+            for m, mask, sub, w, whole in real(cone, points, char):
+                if not mask and not any(x % self.P for x in m):
+                    w = (1,) + w[1:]
+                yield m, mask, sub, w, whole
 
-        monkeypatch.setattr(complexes, "_located_degree", located)
+        monkeypatch.setattr(complexes, "_located", located)
         report = verify_isomorphism(orthant, self.BOUND, self.P)
         assert not report["passed"]
         assert [lv["chain_map_ok"] for lv in report["levels"]] == [False, False, True]

@@ -208,15 +208,19 @@ class TestCohomologyTable:
         assert forms._kernel_of_normals.cache_info().maxsize == forms._VM_CACHE_SIZE
         cone = corpus["square-3d"]
         warm = {char: cohomology_table(cone, 2, char) for char in (0, 3)}
-        real = complexes._located_degree
+        real = forms._kernel_of_normals
+        lookups = []
 
         def evicting(*args):
-            forms._kernel_of_normals.cache_clear()
+            real.cache_clear()
+            lookups.append(args)
             return real(*args)
 
-        monkeypatch.setattr(complexes, "_located_degree", evicting)
+        # every lookup of a mask finds the bounded cache empty
+        monkeypatch.setattr(forms, "_kernel_of_normals", evicting)
         for char, table in warm.items():
             assert cohomology_table(cone, 2, char) == table
+        assert len(lookups) > len(warm)
 
     def test_streamed_hash_is_the_csv_hash(self, quadric):
         for char in (0, 2):

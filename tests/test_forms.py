@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricdiff import forms
+from toricdiff import cartier, complexes, forms
 from toricdiff.cones import Cone, NotInConeError
 from toricdiff.forms import (
     degree_subspace,
@@ -16,7 +16,7 @@ from toricdiff.forms import (
 )
 from toricdiff.linalg import GF, QQ, field_of_characteristic, subspace
 
-from tests.conftest import INTEGER_INPUTS, check_integer_input
+from tests.conftest import INTEGER_INPUTS, check_integer_input, load_exponent_cone
 
 
 @pytest.fixture(scope="module")
@@ -86,27 +86,34 @@ class TestDegreeSubspace:
 
 class TestLocatedDegree:
     # V_m on the face through (2, 1) has the reduced basis (1, 1/2) over QQ
-    # and (1, 2) over GF(3), so membership runs on a scaled column
-    @pytest.fixture(scope="class")
-    def normals(self):
-        return tuple(f.normal for f in Cone([(2, 1), (0, 1)]).facets_containing((2, 1)))
+    # and (1, 2) over GF(3), so membership runs on a scaled column; each
+    # degree is located with that face's mask, in the cone or not
+    CONE = Cone([(2, 1), (0, 1)])
+    MASK = CONE._mask_of((2, 1))
 
-    def test_w_is_read_at_the_pivots(self, normals):
-        assert forms._located_degree(normals, (4, 2), 0)[1] == (4,)
-        assert forms._located_degree(normals, (4, 2), 3)[1] == (1,)
+    def w(self, m, char):
+        [(_, _, _, w, _)] = forms._located(self.CONE, [(m, self.MASK)], char)
+        return w
+
+    def test_w_is_read_at_the_pivots(self):
+        assert self.MASK and self.CONE._normals_of(self.MASK) == tuple(
+            f.normal for f in self.CONE.facets_containing((2, 1))
+        )
+        assert self.w((4, 2), 0) == (4,)
+        assert self.w((4, 2), 3) == (1,)
         # (4, 5) is (1, 2) mod 3, on the face's line mod 3 only
-        assert forms._located_degree(normals, (4, 5), 3)[1] == (1,)
+        assert self.w((4, 5), 3) == (1,)
 
     @pytest.mark.parametrize("m, char", [((4, 3), 0), ((4, 3), 3), ((4, 5), 0), ((1, 1), 5)])
-    def test_a_degree_off_v_m_is_refused(self, normals, m, char):
+    def test_a_degree_off_v_m_is_refused(self, m, char):
         with pytest.raises(AssertionError, match="escaped its own subspace"):
-            forms._located_degree(normals, m, char)
+            self.w(m, char)
 
 
 def test_verification_never_takes_the_reference_path(monkeypatch):
     # V_m is the kernel of the facet normals on every path; the saturated
     # face spans and their intersections are the reference only
-    from toricdiff import cartier, cones, complexes, linalg
+    from toricdiff import cones, linalg
 
     def not_reached(*args, **kwargs):
         raise AssertionError("the reference path ran")
@@ -120,6 +127,50 @@ def test_verification_never_takes_the_reference_path(monkeypatch):
     assert report["passed"] and report["generator_identity"]["passed"]
     sums = tuple(map(sum, zip(*complexes.cohomology_table(cone, 1, 2).entries.values())))
     assert complexes.oracle_full_complex(cone, 1, 2) == sums
+
+
+def masks(cone, bound, keep=lambda m: True):
+    """The distinct facet masks of the kept points of a box."""
+    return {mask for m, mask in cone.lattice_points(bound) if keep(m)}
+
+
+def box_stream(cone, bound):
+    return [masks(cone, bound)]
+
+
+def cartier_streams(cone, bound, p=2):
+    # the target box, its p-divisible degrees classified on their own, the
+    # source box, and the two degrees of each phi call, once per source mask
+    source = masks(cone, bound)
+    shifted = masks(cone, p * bound, lambda m: not any(x % p for x in m))
+    return [masks(cone, p * bound), shifted, source, *({mask} for mask in source for _ in range(2))]
+
+
+@pytest.mark.parametrize(
+    "check, streams",
+    [
+        (lambda c: complexes.poincare_check(c, 2), box_stream),
+        (lambda c: complexes._oracle(c, 2, 3), box_stream),
+        (lambda c: cartier.verify_isomorphism(c, 2, 2), cartier_streams),
+    ],
+    ids=["poincare", "oracle", "cartier"],
+)
+def test_a_box_looks_up_each_mask_once_per_stream(check, streams, monkeypatch):
+    # V_m depends on m only through its mask: a stream of degrees builds
+    # the normals of a mask and solves their kernel once, not per degree
+    cone = load_exponent_cone("square-3d")
+    real, calls = Cone._normals_of, []
+
+    def normals_of(self, mask):
+        calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(Cone, "_normals_of", normals_of)
+    forms._kernel_of_normals.cache_clear()
+    check(cone)
+    misses = forms._kernel_of_normals.cache_info().misses
+    once = sum(map(len, streams(cone, 2)))
+    assert 0 < len(calls) <= once and 0 < misses <= once
 
 
 class TestGradedPiece:

@@ -5,7 +5,8 @@ the mutation the verdict must read PASS and the exit status be 0; with it,
 the same verdict line must read FAIL and the exit status be 1.  The
 mutations sit at seams that any way of computing the numbers must go
 through: the coordinates w of a degree m in V_m (which fix its
-differential), the wedge matrices built from them, the shift matrices of
+differential) as :func:`toricdiff.forms._located` streams them, the wedge
+matrices built from them, the shift matrices of
 :func:`toricdiff.cartier.phi`, and the ranks of the whole-box oracle.
 Each mutation records what it changed, so a row whose mutation never
 fires fails too.  The same mutations make the failing reports of the last
@@ -26,17 +27,17 @@ def w_at(module, degree, change):
     """Degrees located by ``module`` give w = ``change(w)`` at ``degree``."""
 
     def mutate(monkeypatch):
-        real = module._located_degree
+        real = module._located
         fired = []
 
-        def located(normals, m, char):
-            sub, w = real(normals, m, char)
-            if tuple(m) == degree:
-                fired.append(m)
-                w = change(w)
-            return sub, w
+        def located(cone, points, char):
+            for m, mask, sub, w, whole in real(cone, points, char):
+                if tuple(m) == degree:
+                    fired.append(m)
+                    w = change(w)
+                yield m, mask, sub, w, whole
 
-        monkeypatch.setattr(module, "_located_degree", located)
+        monkeypatch.setattr(module, "_located", located)
         return fired
 
     return mutate
@@ -73,6 +74,19 @@ def sheared_shift_at(degree):
         return fired
 
     return mutate
+
+
+def shift_without_top_level(monkeypatch):
+    """:func:`toricdiff.cartier.phi` returns n level matrices instead of n+1."""
+    real = cartier.phi
+    fired = []
+
+    def truncated(cone, m, p):
+        fired.append(m)
+        return real(cone, m, p)[:-1]
+
+    monkeypatch.setattr(cartier, "phi", truncated)
+    return fired
 
 
 def rank_off_by_one_at(level):
@@ -172,6 +186,12 @@ ROWS = [
         sheared_shift_at((1, 1)),
         level_flag(1, "splitting"),
         id="cartier-splitting-shift-sheared-at-a-source",
+    ),
+    pytest.param(
+        ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
+        shift_without_top_level,
+        level_flag(2, "splitting"),
+        id="cartier-splitting-shift-without-its-top-level",
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
