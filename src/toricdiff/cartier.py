@@ -12,23 +12,23 @@ read, comes from identities proven for the wedge matrices themselves (see
 :mod:`toricdiff.complexes`); nothing is assumed from the statements being
 verified.
 
-:func:`verify_isomorphism` is the whole check, and it scans each box once:
+:func:`verify_isomorphism` is the whole check, one loop over both boxes:
 the p-divisible degrees md of the ``p*bound`` box are the multiples p*m of
 the cone points m of the ``bound`` box, in the same order (``<u, m> =
-<u, md>/p``), so the two scans run in step.  Each stream locates its
-degrees through :func:`toricdiff.forms._located`, which looks V_m and
-``C(dim V_m, a)`` up once per facet mask.  For p > 0, ``<u, pm> = p<u, m>``,
-so pm lies on exactly the facets through m, and the mask fixes V_m and
-V_pm.  :func:`phi` runs once per mask of m and builds every level as a
-wedge power of one change of basis.  The other flags are read per source
-degree off the cohomology row at pm, and ``m in V_m`` is asserted for each
-one.  The target box streams by: only its p-divisible degrees and the
-cohomology there stay.
+<u, md>/p``), so each md pulls the next source m and the two scans run in
+step.  Each stream locates its degrees through
+:func:`toricdiff.forms._located`, once per facet mask.  For p > 0,
+``<u, pm> = p<u, m>``, so pm lies on exactly the facets through m, and the
+mask fixes V_m and V_pm.  :func:`phi` runs once per mask of m and builds
+every level as a wedge power of one change of basis.  The other flags are
+read per source degree off the cohomology row at pm, and ``m in V_m`` is
+asserted for each one.  Neither box is held: each degree is read once, as
+it streams by, and only the shift outcomes per facet mask stay.
 """
 
 from __future__ import annotations
 
-from .complexes import _box_cohomology, _CsvRows
+from .complexes import _CsvRows, _degree_cohomology
 from .forms import _located, degree_subspace, wedge_matrix, wedge_subsets
 from .linalg import GF, _integer, identity_matrix, mat_mul, rank
 
@@ -141,14 +141,16 @@ def verify_isomorphism(cone, bound, p):
     (``sources_checked``, the ``chain_map_ok``, ``split_ok`` and
     ``isomorphism_ok`` flags, ``source_dim_total`` and
     ``cohomology_dim_total``), ``concentration_ok``, ``target_degrees``,
-    ``violations``, ``table_hash``, ``passed`` and ``generator_identity``
+    ``violations`` (of concentration first, then per source in source
+    order), ``table_hash``, ``passed`` and ``generator_identity``
     (``checked``, ``violations``, ``passed``).
 
-    The chain-map and isomorphism flags read the cohomology row at pm that
-    the target scan already holds.  The differential at pm is wedging with
-    w, the coordinates of pm in V_pm; it is zero exactly when that row is
-    the whole wedge algebra ``C(dim V_m, a)``, and otherwise the complex at
-    pm is exact.  So a zero differential makes every level closed, and the
+    One loop reads the target box and, at each p-divisible target pm, the
+    next source m.  The chain-map and isomorphism flags read the cohomology
+    row at pm as the target scan passes it.  The differential at pm is
+    wedging with w, the coordinates of pm in V_pm; it is zero exactly when
+    that row is the whole wedge algebra ``C(dim V_m, a)``, and otherwise
+    the complex at pm is exact.  So a zero differential makes every level closed, and the
     shift, invertible on every level (:func:`phi` asserts it), induces
     rank ``C(dim V_m, a)``; a nonzero one leaves only the top level closed
     and induces rank 0.  Over GF(p) pm is zero in V_pm, so these flags see
@@ -158,25 +160,20 @@ def verify_isomorphism(cone, bound, p):
     On generators the inverse map reads ``dx^m -> x^((p-1)m) dx^m``.  For
     m != 0, m in V_m must have the same wedge coordinates as m in V_pm, so
     that ``dx^m`` and the ``dx^m`` factor of the shifted form are one basis
-    element.  V_pm comes from classifying pm on its own, not from the mask
-    of m, so a shift that moved V_m would still show.  The monomial part
-    ``x^((p-1)m)`` holds for any integer m and any p; it is a property of
-    the form printer, tested with it.
+    element.  V_pm is located from the facet mask that the target scan
+    finds for pm on its own, not from the mask of m, so a shift that moved
+    V_m would still show.  The monomial part ``x^((p-1)m)`` holds for any
+    integer m and any p; it is a property of the form printer, tested with
+    it.
     """
     bound = _integer(bound, "the bound must be an integer")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     p = GF(p).characteristic  # refuses a composite modulus before the scan
     n = cone.ambient_rank
-    rows = _CsvRows(_box_cohomology(cone, p * bound, p), n)
-    targets = []  # (md, cohomology at md) for every p-divisible md, in scan order
-    violations = []
-    for md, h in rows:
-        if not any(x % p for x in md):
-            targets.append((md, h))
-        elif any(h):
-            violations.append(f"degree {md}: cohomology {h} away from the multiples of {p}")
-    concentration_ok = not violations
+    targets = _located(cone, cone.lattice_points(p * bound), p)
+    sources = _located(cone, cone.lattice_points(bound), p)
+    rows = _CsvRows(((md, _degree_cohomology(w, whole), sub) for md, _, sub, w, whole in targets), n)
     levels = tuple(
         {
             "a": a,
@@ -190,11 +187,14 @@ def verify_isomorphism(cone, bound, p):
         for a in range(n + 1)
     )
     types = {}  # per facet mask: whether each level of the shift is the identity
-    drifts = []
-    sources = _located(cone, cone.lattice_points(bound), p)
-    shifted = _located(cone, ((pm, cone._mask_of(pm)) for pm, _ in targets), p)
-    for (pm, hs), (_, _, sub_pm, _, _), (m, mask, _, w, whole) in zip(targets, shifted, sources):
-        if pm != tuple(p * x for x in m):
+    concentration, violations, drifts = [], [], []
+    for pm, hs, sub_pm in rows:
+        if any(x % p for x in pm):
+            if any(hs):
+                concentration.append(f"degree {pm}: cohomology {hs} away from the multiples of {p}")
+            continue
+        m, mask, _, w, whole = next(sources, (None,) * 5)  # m = pm / p, or a bug
+        if m is None or pm != tuple(p * x for x in m):
             raise AssertionError(f"internal error: source {m} does not match target {pm}")
         split = types.get(mask)
         if split is None:  # a shift without exactly n+1 levels splits on none
@@ -223,22 +223,21 @@ def verify_isomorphism(cone, bound, p):
                 )
         if any(m) and w != sub_pm.coordinates_of(m):
             drifts.append(f"degree {m}: wedge coordinates drift under the shift")
-    # zip stops at the shorter stream: each target must have had a source, and none is left
-    if levels[0]["sources_checked"] != len(targets) or next(sources, None):
+    if next(sources, None):
         raise AssertionError("internal error: the source box does not match the targets")
-    # every source degree but the origin, which is always a cone point
-    generator = {"checked": len(targets) - 1, "violations": tuple(drifts), "passed": not drifts}
+    checked = levels[0]["sources_checked"] - 1  # every source but the origin, always a cone point
+    generator = {"checked": checked, "violations": tuple(drifts), "passed": not drifts}
     return {
         "rays": cone.rays,
         "p": p,
         "bound": bound,
         "target_bound": p * bound,
         "levels": levels,
-        "concentration_ok": concentration_ok,
+        "concentration_ok": not concentration,
         "target_degrees": rows.count,
-        "violations": tuple(violations),
+        "violations": tuple(concentration + violations),
         "table_hash": rows.hexdigest(),
         # a failing level flag always adds a violation, so the flags need no second look
-        "passed": not violations and not drifts,
+        "passed": not concentration and not violations and not drifts,
         "generator_identity": generator,
     }

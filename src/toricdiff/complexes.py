@@ -7,8 +7,8 @@ degrees is the direct sum of the per-degree answers.
 
 Three paths compute cohomology, each on purpose:
 
-- a box of degrees (:func:`_box_cohomology`, behind every table and check)
-  builds no matrix.  Two identities of the wedge matrices, D∘D = 0 and a
+- a box of degrees (:func:`_degree_cohomology` on each located degree,
+  behind every table and check) builds no matrix.  Two identities of the wedge matrices, D∘D = 0 and a
   contracting homotopy, are proven once per dim V_m
   (:func:`toricdiff.forms._prove_koszul`).  A degree with w != 0 in the
   field is then exact, and one with w = 0 has zero differentials, so its
@@ -25,13 +25,14 @@ Three paths compute cohomology, each on purpose:
   ``C(dim V_m, a)`` per degree and one level's pivots, never a whole matrix.
 
 Degrees stream by in lexicographic order and no command holds a table of
-the box: a check reads them in one pass, and the ``cohomology`` command
-writes each row as it arrives (:mod:`toricdiff.cli`, with the CSV row
-format of :class:`_CsvRows`).  :class:`CohomologyTable` is the library
-form, and the reference the tests hold the streamed bytes against: it
-serializes to JSON and to CSV with one row per degree.  :func:`poincare_check`
-returns its JSON document as a dict.  Output is byte-stable: degrees are
-sorted, hashes are over the CSV bytes, of a table or of the stream alike.
+the box: a check reads them in one pass (``cartier`` reads its source box
+in step with its target box), and the ``cohomology`` command writes each
+row as it arrives (:mod:`toricdiff.cli`, with the CSV row format of
+:class:`_CsvRows`).  :class:`CohomologyTable` is the library form, and the
+reference the tests hold the streamed bytes against: it serializes to JSON
+and to CSV with one row per degree.  :func:`poincare_check` returns its
+JSON document as a dict.  Output is byte-stable: degrees are sorted,
+hashes are over the CSV bytes, of a table or of the stream alike.
 """
 
 from __future__ import annotations
@@ -170,17 +171,17 @@ def _csv_form(h):
 
 
 class _CsvRows:
-    """Rows ``(m, h)`` passed on in order, counted and hashed as CSV lines on the way."""
+    """Rows ``(m, h, ...)`` passed on in order, counted and hashed as CSV lines of m, h."""
 
     def __init__(self, rows, n):
         self.rows, self.count = rows, 0
         self.digest = sha256(_csv_header(n).encode())
 
     def __iter__(self):
-        for m, h in self.rows:
-            self.digest.update((_csv_form(h) % m).encode())
+        for row in self.rows:
+            self.digest.update((_csv_form(row[1]) % row[0]).encode())
             self.count += 1
-            yield m, h
+            yield row
 
     def hexdigest(self):
         """sha256 of the header and every row; rows not yet passed on are read here."""

@@ -204,8 +204,8 @@ class TestVerifyIsomorphism:
         assert Counter(ranked) == {mask: n + 1 for mask in masks}
 
     def test_scans_each_box_once(self, quadric, monkeypatch):
-        # the p*B box of targets streams first, then the B box of sources is
-        # zipped with its p-divisible degrees
+        # each box is scanned once, the p*B box of targets opened before the
+        # B box of sources, which is read in step with it (see the next test)
         sources = len(cone_points(quadric, 2))
         real = Cone.lattice_points
         bounds = []
@@ -219,6 +219,27 @@ class TestVerifyIsomorphism:
         assert bounds == [6, 2]
         assert report["passed"]
         assert [lv["sources_checked"] for lv in report["levels"]] == [sources] * 3
+
+    def test_pulls_each_source_right_after_its_target(self, quadric, monkeypatch):
+        # one pass: the source m is read right after the p-divisible target
+        # pm and before the next target, so neither box is held
+        p, bound = 3, 2
+        real = Cone.lattice_points
+        pulled = []
+
+        def lattice_points(self, bound_):
+            for m, mask in real(self, bound_):
+                pulled.append((bound_, m))
+                yield m, mask
+
+        monkeypatch.setattr(Cone, "lattice_points", lattice_points)
+        assert verify_isomorphism(quadric, bound, p)["passed"]
+        expected = []
+        for md, _ in real(quadric, p * bound):
+            expected.append((p * bound, md))
+            if not any(x % p for x in md):
+                expected.append((bound, tuple(x // p for x in md)))
+        assert pulled == expected
 
     @pytest.mark.parametrize("dropped", [0, -1])
     def test_misaligned_source_stream_is_an_internal_error(self, quadric, monkeypatch, dropped):
@@ -310,10 +331,9 @@ def test_verification_keeps_no_cone_alive():
 
 
 def test_memory_does_not_grow_with_the_box():
-    # the target box streams by: only the per-facet-mask shift outcomes of
-    # the source box and the cohomology at the p-divisible degrees stay, so
-    # a box with over 4x the cone points must not raise the traced peak by
-    # more than the slack
+    # both boxes stream by, each source read in step with its target, and
+    # only the per-facet-mask shift outcomes stay, so a box with over 4x the
+    # cone points must not raise the traced peak by more than the slack
     fields = {"ambient_rank", "_lineality", "rays", "dual", "_facets"}
 
     def traced_peak(bound):
@@ -346,7 +366,12 @@ class TestNegativeControls:
     P, BOUND = 3, 3
     INTERIOR = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
 
-    def test_non_identity_shift_fails_split(self, orthant, monkeypatch):
+    SPLIT = "a=1: projection composed with the shift is not the identity"
+
+    @staticmethod
+    def shear_interior(monkeypatch):
+        """Level 1 of the shift at an interior degree gains an entry above the
+        diagonal; returns the degrees it was built at."""
         calls = []
 
         def broken_phi(cone, m, p):
@@ -359,11 +384,31 @@ class TestNegativeControls:
             return got
 
         monkeypatch.setattr(cartier, "phi", broken_phi)
-        wording = "a=1: projection composed with the shift is not the identity"
+        return calls
+
+    @staticmethod
+    def change_targets(monkeypatch, change):
+        """w at each target degree m becomes ``change(m, mask, w)``: the target
+        box is the first stream that verify_isomorphism locates, the source
+        box the second."""
+        real, calls = cartier._located, itertools.count()
+
+        def changed(records):
+            for m, mask, sub, w, whole in records:
+                yield m, mask, sub, change(m, mask, w), whole
+
+        def located(cone, points, char):
+            records = real(cone, points, char)
+            return changed(records) if next(calls) == 0 else records
+
+        monkeypatch.setattr(cartier, "_located", located)
+
+    def test_non_identity_shift_fails_split(self, orthant, monkeypatch):
+        calls = self.shear_interior(monkeypatch)
         report = verify_isomorphism(orthant, self.BOUND, self.P)
         assert not report["passed"]
         assert [lv["split_ok"] for lv in report["levels"]] == [True, False, True]
-        assert report["violations"] == tuple(f"degree {m}, {wording}" for m in self.INTERIOR)
+        assert report["violations"] == tuple(f"degree {m}, {self.SPLIT}" for m in self.INTERIOR)
         data = json.loads(json.dumps(report))
         assert data["passed"] is False
         assert data["violations"] == list(report["violations"])
@@ -377,15 +422,10 @@ class TestNegativeControls:
         # w made nonzero at the interior targets pm: their complex is then
         # exact, so below the top level the shift image is not closed and
         # the shift induces nothing in cohomology
-        real = complexes._located
-
-        def located(cone, points, char):
-            for m, mask, sub, w, whole in real(cone, points, char):
-                if not mask and not any(x % self.P for x in m):
-                    w = (1,) + w[1:]
-                yield m, mask, sub, w, whole
-
-        monkeypatch.setattr(complexes, "_located", located)
+        self.change_targets(
+            monkeypatch,
+            lambda m, mask, w: (1,) + w[1:] if not mask and not any(x % self.P for x in m) else w,
+        )
         report = verify_isomorphism(orthant, self.BOUND, self.P)
         assert not report["passed"]
         assert [lv["chain_map_ok"] for lv in report["levels"]] == [False, False, True]
@@ -400,6 +440,21 @@ class TestNegativeControls:
                 f"degree {m}, a=1: induced rank 0 of 2, cohomology dimension 0",
                 f"degree {m}, a=2: induced rank 0 of 1, cohomology dimension 0",
             )
+        )
+
+    def test_concentration_violations_come_first(self, orthant, monkeypatch):
+        # the sheared shift fails at the interior sources, which are read
+        # in step with the target scan before it reaches (8, 9); the report
+        # still lists the concentration violations first, in scan order, and
+        # then the per-source ones in source order
+        off = [(1, 2), (8, 9)]
+        self.shear_interior(monkeypatch)
+        self.change_targets(monkeypatch, lambda m, mask, w: (0, 0) if m in off else w)
+        report = verify_isomorphism(orthant, self.BOUND, self.P)
+        assert not report["passed"] and not report["concentration_ok"]
+        assert report["violations"] == (
+            *(f"degree {m}: cohomology (1, 2, 1) away from the multiples of 3" for m in off),
+            *(f"degree {m}, {self.SPLIT}" for m in self.INTERIOR),
         )
 
     def test_wrong_target_faces_fail_the_generator_identity(self, orthant, monkeypatch):

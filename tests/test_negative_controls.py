@@ -13,6 +13,7 @@ fires fails too.  The same mutations make the failing reports of the last
 test, which holds the JSON output of a check to the dict the check returns.
 """
 
+import itertools
 import json
 import re
 
@@ -23,24 +24,36 @@ from toricdiff.cli import main
 from tests.conftest import CONE_DIR, load_exponent_cone
 
 
-def w_at(module, degree, change):
-    """Degrees located by ``module`` give w = ``change(w)`` at ``degree``."""
+def w_at(module, degree, change, stream=None):
+    """Degrees located by ``module`` give w = ``change(w)`` at ``degree``.
+
+    With ``stream`` set, only the degrees of that call of ``module._located``
+    change, counted from 0: :func:`toricdiff.cartier.verify_isomorphism`
+    locates its target box first (``TARGETS``) and its source box second
+    (``SOURCES``), so a mutation hits one of the two.
+    """
 
     def mutate(monkeypatch):
         real = module._located
-        fired = []
+        fired, calls = [], itertools.count()
 
-        def located(cone, points, char):
-            for m, mask, sub, w, whole in real(cone, points, char):
-                if tuple(m) == degree:
+        def changed(records, mine):
+            for m, mask, sub, w, whole in records:
+                if mine and tuple(m) == degree:
                     fired.append(m)
                     w = change(w)
                 yield m, mask, sub, w, whole
+
+        def located(cone, points, char):
+            return changed(real(cone, points, char), stream in (None, next(calls)))
 
         monkeypatch.setattr(module, "_located", located)
         return fired
 
     return mutate
+
+
+TARGETS, SOURCES = 0, 1
 
 
 def zeroed(w):
@@ -165,19 +178,19 @@ ROWS = [
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        w_at(complexes, (1, 0), zeroed),
+        w_at(cartier, (1, 0), zeroed, TARGETS),
         "off-multiple degrees carry no cohomology",
         id="cartier-concentration-w-zeroed-off-the-multiples",
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        w_at(cartier, (1, 1), zeroed),
+        w_at(cartier, (1, 1), zeroed, SOURCES),
         "generator identity:",
         id="cartier-generator-identity-w-zeroed-at-a-source",
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        w_at(cartier, (1, 1), zeroed),
+        w_at(cartier, (1, 1), zeroed, SOURCES),
         "overall:",
         id="cartier-overall-w-zeroed-at-a-source",
     ),
@@ -195,13 +208,13 @@ ROWS = [
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        w_at(complexes, (2, 2), nonzero),
+        w_at(cartier, (2, 2), nonzero, TARGETS),
         level_flag(0, "chain map"),
         id="cartier-chain-map-w-nonzero-at-a-target",
     ),
     pytest.param(
         ["cartier", cone("a1-quadric"), "--p", "2", "--bound", "1"],
-        w_at(complexes, (2, 2), nonzero),
+        w_at(cartier, (2, 2), nonzero, TARGETS),
         level_flag(2, "isomorphism"),
         id="cartier-isomorphism-w-nonzero-at-a-target",
     ),
